@@ -23,16 +23,16 @@ test:
 race:
 	$(GO) test -race ./internal/runner ./internal/core ./internal/vmm/... ./internal/scenario \
 		./internal/fleet
-	$(GO) test -race -run 'Backend|Coarse|Replay|Record|Trace|GainSweep' \
+	$(GO) test -race -run 'Backend|Replay|Record|Trace|GainSweep' \
 		./internal/memsim ./internal/exp
 
 # obs-parity asserts the observability contract: the figure pipeline's
 # stdout is byte-identical with and without metrics collection attached
 # (CSV format, so no wall-clock lines differ). Figure 6 sweeps three
 # modes through the runner, exercising the instrumented chokepoints.
-# The second half re-asserts the same for the churn scenario under both
-# machine-model backends (the scenario path wires per-VM scopes and the
-# epoch hook, a different plumbing route than the figure runner).
+# The second half re-asserts the same for both bundled scenarios (the
+# scenario path wires per-VM scopes and the epoch hook, a different
+# plumbing route than the figure runner).
 obs-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/heterobench -exp figure6 -quick -format=csv \
@@ -46,18 +46,18 @@ obs-parity:
 	test -s "$$tmp/metrics.csv" || { echo "obs-parity: no metrics written"; exit 1; }; \
 	echo "obs-parity: figure output byte-identical with observability on"; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
-	for be in analytic coarse; do \
-		"$$tmp/heterosim" -scenario churn.json -backend $$be -format=csv \
+	for sc in churn.json degrade.json; do \
+		"$$tmp/heterosim" -scenario $$sc -format=csv \
 			> "$$tmp/sc-off.csv" || exit 1; \
-		"$$tmp/heterosim" -scenario churn.json -backend $$be -format=csv \
+		"$$tmp/heterosim" -scenario $$sc -format=csv \
 			-metrics "$$tmp/sc-metrics.csv" \
 			> "$$tmp/sc-on.csv" 2>/dev/null || exit 1; \
 		if ! cmp -s "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; then \
-			echo "obs-parity: churn/$$be output differs with metrics collection on:"; \
+			echo "obs-parity: $$sc output differs with metrics collection on:"; \
 			diff "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; exit 1; \
 		fi; \
-		test -s "$$tmp/sc-metrics.csv" || { echo "obs-parity: churn/$$be wrote no metrics"; exit 1; }; \
-		echo "obs-parity: churn/$$be scenario byte-identical with observability on"; \
+		test -s "$$tmp/sc-metrics.csv" || { echo "obs-parity: $$sc wrote no metrics"; exit 1; }; \
+		echo "obs-parity: $$sc scenario byte-identical with observability on"; \
 	done
 
 # scenario-smoke runs both bundled scenarios end-to-end through the
@@ -77,43 +77,42 @@ scenario-smoke:
 	done
 
 # snapshot-parity is the checkpoint/restore gold standard, exercised
-# end-to-end through the CLI for both bundled scenarios on both the
-# analytic and coarse backends: (1) writing checkpoints must not
-# perturb the run (stdout with -checkpoint-every == stdout without);
-# (2) a run restored from a mid-scenario snapshot must finish
-# byte-identically (stdout == the uninterrupted run, and the restored
-# event log == the tail of the full run's event log). The restore takes
-# no backend flag — the snapshot pins the backend it was taken under.
+# end-to-end through the CLI for both bundled scenarios: (1) writing
+# checkpoints must not perturb the run (stdout with -checkpoint-every ==
+# stdout without); (2) a run restored from a mid-scenario snapshot must
+# finish byte-identically (stdout == the uninterrupted run, and the
+# restored event log == the tail of the full run's event log). The
+# restore takes no backend flag — the snapshot pins the backend it was
+# taken under.
 snapshot-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
 	for sc in churn.json degrade.json; do \
-	for be in analytic coarse; do \
-		"$$tmp/heterosim" -scenario $$sc -backend $$be -format=csv \
+		"$$tmp/heterosim" -scenario $$sc -format=csv \
 			-events "$$tmp/full.jsonl" > "$$tmp/plain.csv" || exit 1; \
-		"$$tmp/heterosim" -scenario $$sc -backend $$be -format=csv \
+		"$$tmp/heterosim" -scenario $$sc -format=csv \
 			-checkpoint-every 13 -checkpoint-path "$$tmp/ck.snap" > "$$tmp/ck.csv" || exit 1; \
 		if ! cmp -s "$$tmp/plain.csv" "$$tmp/ck.csv"; then \
-			echo "snapshot-parity: $$sc/$$be output perturbed by checkpointing:"; \
+			echo "snapshot-parity: $$sc output perturbed by checkpointing:"; \
 			diff "$$tmp/plain.csv" "$$tmp/ck.csv"; exit 1; \
 		fi; \
 		"$$tmp/heterosim" -restore "$$tmp/ck.snap" -format=csv -events "$$tmp/rest.jsonl" \
 			> "$$tmp/rest.csv" || exit 1; \
 		if ! cmp -s "$$tmp/plain.csv" "$$tmp/rest.csv"; then \
-			echo "snapshot-parity: $$sc/$$be restored run diverged:"; \
+			echo "snapshot-parity: $$sc restored run diverged:"; \
 			diff "$$tmp/plain.csv" "$$tmp/rest.csv"; exit 1; \
 		fi; \
 		tail -n +2 "$$tmp/rest.jsonl" > "$$tmp/rest.tail"; \
 		n=$$(wc -l < "$$tmp/rest.tail"); \
-		test "$$n" -gt 0 || { echo "snapshot-parity: $$sc/$$be restore replayed no events (checkpoint at end of run?)"; exit 1; }; \
+		test "$$n" -gt 0 || { echo "snapshot-parity: $$sc restore replayed no events (checkpoint at end of run?)"; exit 1; }; \
 		tail -n "$$n" "$$tmp/full.jsonl" > "$$tmp/full.tail"; \
 		if ! cmp -s "$$tmp/full.tail" "$$tmp/rest.tail"; then \
-			echo "snapshot-parity: $$sc/$$be restored event log diverged:"; \
+			echo "snapshot-parity: $$sc restored event log diverged:"; \
 			diff "$$tmp/full.tail" "$$tmp/rest.tail"; exit 1; \
 		fi; \
 		rm -f "$$tmp"/ck.snap "$$tmp"/*.jsonl "$$tmp"/*.tail; \
-		echo "snapshot-parity: $$sc/$$be restore byte-identical ($$n event lines)"; \
-	done; done
+		echo "snapshot-parity: $$sc restore byte-identical ($$n event lines)"; \
+	done
 
 # fuzz-smoke drives the fixed seed band through the scenario generator
 # under the strict invariant harness (~5s). A failing seed shrinks
@@ -125,7 +124,7 @@ fuzz-smoke:
 # through the CLI at two worker counts and requires byte-identical
 # output — the fleet layer's determinism contract at datacenter scale
 # (boot storms, a surge wave, three host failures with mass evacuation,
-# and a 500-VM drain, all under the coarse backend).
+# and a 500-VM drain, all priced by the analytic backend).
 fleet-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
@@ -139,17 +138,16 @@ fleet-smoke:
 	fi; \
 	echo "fleet-smoke: fleet-churn-1k byte-identical at 1 and 4 workers"
 
-# backend-parity pins the default machine-model backend to the seed:
-# the analytic backend (explicitly selected, exercising the -backend
-# flag path) must reproduce the committed figure CSVs byte-for-byte.
-# The goldens under testdata/backend/ were captured from the pre-backend
-# seed tree, so any pricing drift — in the engine or in the backend
-# plumbing around it — fails the gate.
+# backend-parity pins the machine-model backend to the seed: the
+# default analytic pricing path must reproduce the committed figure
+# CSVs byte-for-byte. The goldens under testdata/backend/ were captured
+# from the pre-backend seed tree, so any pricing drift — in the engine
+# or in the backend plumbing around it — fails the gate.
 backend-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/heterobench -exp figure9 -quick -backend analytic \
+	$(GO) run ./cmd/heterobench -exp figure9 -quick \
 		-format=csv > "$$tmp/f9.csv" || exit 1; \
-	$(GO) run ./cmd/heterobench -exp figure6 -quick -backend analytic \
+	$(GO) run ./cmd/heterobench -exp figure6 -quick \
 		-format=csv > "$$tmp/f6.csv" || exit 1; \
 	for f in f9:figure9_quick f6:figure6_quick; do \
 		got="$$tmp/$${f%%:*}.csv"; want="testdata/backend/$${f#*:}.csv"; \
@@ -177,13 +175,12 @@ bench:
 		-benchmem -count=5 .
 
 # bench-json regenerates the committed perf-trajectory baselines: the
-# analytic-side benchmarks into BENCH_analytic.json, the coarse backend
-# (with its epoch-pricing speedup over analytic) into BENCH_coarse.json,
-# the word-at-a-time scan (with its speedup over the per-page reference
-# path) into BENCH_scan.json, the observability aggregation path
-# (direct scope rollup, its speedup over the snapshot merge fold, and
-# the OpenMetrics encoder) into BENCH_obs.json, and the fleet epoch
-# round (pooled barrier over its serial twin) into BENCH_fleet.json.
+# analytic-side benchmarks into BENCH_analytic.json, the word-at-a-time
+# scan (with its speedup over the per-page reference path) into
+# BENCH_scan.json, the observability aggregation path (direct scope
+# rollup, its speedup over the snapshot merge fold, and the OpenMetrics
+# encoder) into BENCH_obs.json, and the fleet epoch round (pooled
+# barrier over its serial twin) into BENCH_fleet.json.
 bench-json:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|Obs|FleetEpochRound' \
@@ -191,10 +188,6 @@ bench-json:
 	$(GO) run ./cmd/benchjson -label analytic \
 		-match 'HottestIn|ColdestIn|HotScan|SweepFigure9Workers|EpochPricingAnalytic' \
 		< "$$tmp" > BENCH_analytic.json || exit 1; \
-	$(GO) run ./cmd/benchjson -label coarse \
-		-match 'SweepFigure9Coarse|EpochPricingCoarse' \
-		-speedup EpochPricingCoarse=EpochPricingAnalytic \
-		< "$$tmp" > BENCH_coarse.json || exit 1; \
 	$(GO) run ./cmd/benchjson -label scan \
 		-match 'ScanNext' \
 		-speedup ScanNextWord=ScanNextRef \
@@ -207,17 +200,15 @@ bench-json:
 		-match 'FleetEpochRound' \
 		-speedup FleetEpochRound=FleetEpochRoundWorkers1 \
 		< "$$tmp" > BENCH_fleet.json || exit 1; \
-	echo "bench-json: wrote BENCH_analytic.json BENCH_coarse.json BENCH_scan.json BENCH_obs.json BENCH_fleet.json"
+	echo "bench-json: wrote BENCH_analytic.json BENCH_scan.json BENCH_obs.json BENCH_fleet.json"
 
-# bench-guard re-runs the speedup-pair benchmarks and fails if either
-# committed factor regressed more than 5%: coarse-over-analytic epoch
-# pricing (BENCH_coarse.json) and word-over-reference scanning
-# (BENCH_scan.json). The ratio (not raw ns/op) is guarded, so the check
-# is stable across machines. Not part of check: benchmarks are too noisy
-# for an always-on gate.
+# bench-guard re-runs the speedup-pair benchmarks and fails if any
+# committed factor regressed more than 5%: word-over-reference scanning
+# (BENCH_scan.json), direct-over-merge-fold obs rollup (BENCH_obs.json),
+# and the pooled-over-serial fleet round (BENCH_fleet.json). The ratio
+# (not raw ns/op) is guarded, so the check is stable across machines.
+# Not part of check: benchmarks are too noisy for an always-on gate.
 bench-guard:
-	@$(GO) test -run=NONE -bench='EpochPricing' -benchmem -count=3 . \
-		| $(GO) run ./cmd/benchjson -guard BENCH_coarse.json -tolerance 0.05
 	@$(GO) test -run=NONE -bench='ScanNext' -benchmem -count=3 . \
 		| $(GO) run ./cmd/benchjson -guard BENCH_scan.json -tolerance 0.05
 	@$(GO) test -run=NONE -bench='ObsRollup' -benchmem -count=3 . \

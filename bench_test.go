@@ -527,16 +527,13 @@ func BenchmarkSweepFigure9WorkersMax(b *testing.B) {
 
 // --- Machine-model backends: epoch-pricing throughput ---
 
-// benchEpochPricing streams a varied epoch-charge mix through one
-// backend's full pricing path — the LLC rescale plus Charge, exactly
-// what core.System.stepVM pays per VM per epoch. This is the loop the
-// coarse backend exists to accelerate (DESIGN.md §5f): analytic spends
-// most of it in the power-law MPKI rescale and the per-tier store
-// visibility model, both of which coarse elides.
-func benchEpochPricing(b *testing.B, build memsim.Builder) {
-	b.Helper()
+// BenchmarkEpochPricingAnalytic streams an epoch charge through the
+// analytic backend's full pricing path — the LLC rescale plus Charge,
+// exactly what core.System.stepVM pays per VM per epoch. Most of it is
+// the power-law MPKI rescale and the per-tier store visibility model.
+func BenchmarkEpochPricingAnalytic(b *testing.B) {
 	m := memsim.NewMachine(4096, 4096, memsim.FastTierSpec(), memsim.SlowTierSpec())
-	be := build(m)
+	var be memsim.Backend = memsim.NewAnalytic(m)
 	llc := memsim.DefaultLLC()
 	// One representative GraphChi-like epoch, cache-hot: mixed-tier
 	// load/store traffic with a working set well past the LLC so the
@@ -560,30 +557,6 @@ func benchEpochPricing(b *testing.B, build memsim.Builder) {
 }
 
 var benchPricingSink float64
-
-func BenchmarkEpochPricingAnalytic(b *testing.B) { benchEpochPricing(b, memsim.AnalyticBackend) }
-func BenchmarkEpochPricingCoarse(b *testing.B)   { benchEpochPricing(b, memsim.CoarseBackend) }
-
-// The Figure 9 sweep priced end-to-end through the coarse backend —
-// compare against BenchmarkSweepFigure9WorkersMax (analytic) for the
-// whole-simulation effect of cheaper pricing.
-func BenchmarkSweepFigure9Coarse(b *testing.B) {
-	e, ok := exp.ByID("figure9")
-	if !ok {
-		b.Fatal("figure9 missing from registry")
-	}
-	coarse := func(string, uint64) memsim.Builder { return memsim.CoarseBackend }
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(context.Background(), exp.Options{
-			Seed: 1, Quick: true, Workers: runtime.GOMAXPROCS(0), NewBackend: coarse})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Table.String())
-		}
-	}
-}
 
 // benchRunnerBatch pushes a fixed batch of memlat simulations through
 // the runner at the given worker count.

@@ -45,9 +45,9 @@
 //	heterosim -profile-epochs           # per-phase epoch cost breakdown (sim + wall)
 //	heterosim -listen :9090             # live /metrics (OpenMetrics) + /snapshot.json
 //
-// Machine-model backends (see DESIGN.md §5f):
+// Machine-model backends (see DESIGN.md §5f): runs price through the
+// analytic Table-3 model; a recorded epoch stream can stand in for it:
 //
-//	heterosim -backend coarse                    # fast approximate pricing
 //	heterosim -record-trace run.jsonl            # record the epoch stream
 //	heterosim -replay-trace run.jsonl            # replay a recorded stream
 package main
@@ -90,7 +90,6 @@ func main() {
 		events    = flag.String("events", "", "write structured events as JSON lines to this file")
 		chrome    = flag.String("chrome-trace", "", "write a Chrome trace_event export (Perfetto-loadable) to this file")
 		metricsF  = flag.String("metrics", "", "write an end-of-run metrics snapshot (CSV) to this file")
-		backendF  = flag.String("backend", "analytic", "machine-model backend: analytic, coarse, or replay (needs -replay-trace)")
 		recordF   = flag.String("record-trace", "", "record the per-epoch (charge, cost) stream as JSONL to this file")
 		replayF   = flag.String("replay-trace", "", "replay a recorded JSONL epoch stream (selects the replay backend)")
 		ckEvery   = flag.Int("checkpoint-every", 0, "write a scenario checkpoint after every N epochs (needs -scenario or -restore)")
@@ -159,23 +158,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "heterosim: -profile-epochs is not supported with -fleet")
 			os.Exit(2)
 		}
-		// -seed and -backend override the script's own fields only when
-		// passed explicitly, exactly as for scenarios.
-		var seedOverride *uint64
-		backendName := ""
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed":
-				seedOverride = seed
-			case "backend":
-				backendName = *backendF
-			}
-		})
-		runFleet(*fleetF, seedOverride, backendName, *workersF, of)
+		runFleet(*fleetF, seedOverride(seed), *workersF, of)
 		return
 	}
 
-	build, closeBackend, err := buildBackend(*backendF, *recordF, *replayF)
+	build, closeBackend, err := buildBackend(*recordF, *replayF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "heterosim:", err)
 		os.Exit(2)
@@ -188,13 +175,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "heterosim: -profile-epochs is not supported with -restore")
 			os.Exit(2)
 		}
-		backendOverride := false
+		traceOverride := false
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "backend" || f.Name == "record-trace" || f.Name == "replay-trace" {
-				backendOverride = true
+			if f.Name == "record-trace" || f.Name == "replay-trace" {
+				traceOverride = true
 			}
 		})
-		if backendOverride {
+		if traceOverride {
 			// A checkpoint pins the backend it was taken under; restoring
 			// it under a different model could not be byte-identical.
 			fmt.Fprintln(os.Stderr, "heterosim: -restore uses the checkpoint's own backend; backend flags conflict")
@@ -205,35 +192,11 @@ func main() {
 	}
 
 	if *scenarioF != "" {
-		// -seed overrides the scenario's seed only when given explicitly;
-		// likewise the backend flags override the scenario's own backend
-		// field only when one of them was actually passed.
-		var seedOverride *uint64
-		backendOverride, traceOverride := false, false
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed":
-				seedOverride = seed
-			case "backend":
-				backendOverride = true
-			case "record-trace", "replay-trace":
-				traceOverride = true
-			}
-		})
-		// A plain -backend override is applied by NAME, not builder: the
-		// name rides along inside any checkpoint's embedded scenario, so
-		// a resumed run re-builds the same backend (a builder function
-		// cannot be serialized). Trace wrappers keep the builder —
-		// recorder checkpoints are refused by core, and a replay
+		// The trace flags override the scenario's own backend field;
+		// without them build is nil and the script's field stands.
+		// Recorder checkpoints are refused by core, and a replay
 		// checkpoint fails the restore-time backend identity check.
-		backendName := ""
-		if !traceOverride {
-			build = nil
-			if backendOverride {
-				backendName = *backendF
-			}
-		}
-		runScenario(*scenarioF, seedOverride, backendName, build, closeBackend, ck, of)
+		runScenario(*scenarioF, seedOverride(seed), build, closeBackend, ck, of)
 		return
 	}
 
@@ -330,7 +293,7 @@ func main() {
 // runScenario executes a scripted multi-VM scenario and prints its
 // per-VM outcomes and sampled timeline. A non-nil build overrides the
 // scenario's own backend field (CLI flags win over the JSON).
-func runScenario(path string, seedOverride *uint64, backendName string, build memsim.Builder, closeBackend func() error, ck scenario.CheckpointOptions, of obsFlags) {
+func runScenario(path string, seedOverride *uint64, build memsim.Builder, closeBackend func() error, ck scenario.CheckpointOptions, of obsFlags) {
 	sc, err := scenario.LoadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "heterosim:", err)
@@ -338,9 +301,6 @@ func runScenario(path string, seedOverride *uint64, backendName string, build me
 	}
 	if seedOverride != nil {
 		sc.Seed = *seedOverride
-	}
-	if backendName != "" {
-		sc.WithBackend(backendName)
 	}
 	if build != nil {
 		sc.WithBackendBuilder(build)
@@ -381,7 +341,7 @@ func runRestore(path string, ck scenario.CheckpointOptions, closeBackend func() 
 // live migration and placement (see internal/fleet). Per-VM rows print
 // only for small fleets; at datacenter scale the per-app aggregate,
 // migration log, and timeline carry the story.
-func runFleet(path string, seedOverride *uint64, backendName string, workers int, of obsFlags) {
+func runFleet(path string, seedOverride *uint64, workers int, of obsFlags) {
 	sc, err := fleet.LoadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "heterosim:", err)
@@ -389,9 +349,6 @@ func runFleet(path string, seedOverride *uint64, backendName string, workers int
 	}
 	if seedOverride != nil {
 		sc.Seed = *seedOverride
-	}
-	if backendName != "" {
-		sc.Host.Backend = backendName
 	}
 	runTag := fmt.Sprintf("fleet/%s seed=%d", sc.Name, sc.Seed)
 	handle, closeObs := newObsHandle(runTag, of)
@@ -493,29 +450,33 @@ func executeScenario(runTag string, run func(context.Context, *obs.Obs) (*scenar
 	closeBackendOrDie(closeBackend)
 }
 
-// buildBackend resolves the backend flags into a core.Config builder
-// plus a cleanup that flushes any trace recording. The returned builder
-// is never nil; unknown names surface memsim.ErrUnknownBackend.
-func buildBackend(name, record, replay string) (memsim.Builder, func() error, error) {
+// seedOverride returns seed when -seed was passed explicitly, else nil:
+// scenario and fleet scripts carry their own seed, which only an
+// explicit flag overrides.
+func seedOverride(seed *uint64) *uint64 {
+	var out *uint64
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			out = seed
+		}
+	})
+	return out
+}
+
+// buildBackend resolves the trace flags into a core.Config builder plus
+// a cleanup that flushes any trace recording. The builder is nil — the
+// analytic default — when neither flag is set.
+func buildBackend(record, replay string) (memsim.Builder, func() error, error) {
 	if record != "" && replay != "" {
 		return nil, nil, errors.New("-record-trace and -replay-trace are mutually exclusive")
 	}
 	var build memsim.Builder
 	if replay != "" {
-		if name != memsim.BackendAnalytic && name != memsim.BackendReplay {
-			return nil, nil, fmt.Errorf("-replay-trace selects the replay backend; -backend %s conflicts", name)
-		}
 		tr, err := memsim.LoadTraceFile(replay)
 		if err != nil {
 			return nil, nil, err
 		}
 		build = tr.Builder()
-	} else {
-		b, err := memsim.BuilderByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		build = b
 	}
 	closeBackend := func() error { return nil }
 	if record != "" {
@@ -523,10 +484,9 @@ func buildBackend(name, record, replay string) (memsim.Builder, func() error, er
 		if err != nil {
 			return nil, nil, err
 		}
-		inner := build
 		var recorders []*memsim.Recorder
 		build = func(m *memsim.Machine, opts ...memsim.Option) memsim.Backend {
-			r := memsim.NewRecorder(inner(m, opts...), f)
+			r := memsim.NewRecorder(memsim.NewAnalytic(m, opts...), f)
 			recorders = append(recorders, r)
 			return r
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
@@ -114,16 +113,13 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 	}()
 	prof := inst.W.Profile()
 
-	// pt carries the phase profiler's wall-clock anchors. Explicit
-	// time.Now()/ObserveWallSince pairs (never defer closures, which
-	// allocate) and every time.Now is behind an inst.phases nil check,
-	// so unprofiled runs never touch the host clock here.
-	var pt time.Time
-
+	// pt carries the phase profiler's wall-clock anchors: explicit
+	// Start/ObserveWallSince pairs (never defer closures, which
+	// allocate). Start on a nil profiler never reads the clock, so
+	// unprofiled runs never touch the host clock here.
+	//
 	// 1. Application work against the guest OS.
-	if inst.phases != nil {
-		pt = time.Now()
-	}
+	pt := inst.phases.Start()
 	instr, done := inst.W.Step(inst.OS)
 	if instr == 0 && !done {
 		return ErrWorkloadStalled
@@ -133,9 +129,7 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 	// 2. Guest epoch maintenance first: watermark reclaim restores the
 	// FastMem free buffer that coordinated promotion lands in. Balloon
 	// traffic and reclaim both happen here, so this is the balance phase.
-	if inst.phases != nil {
-		pt = time.Now()
-	}
+	pt = inst.phases.Start()
 	inst.OS.EndEpoch()
 	inst.phases.ObserveWallSince(obs.PhaseBalance, pt)
 
@@ -175,23 +169,17 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 			}
 			switch inst.Mode.Migration {
 			case policy.MigrateVMMExclusive:
-				if inst.phases != nil {
-					pt = time.Now()
-				}
+				pt = inst.phases.Start()
 				res := inst.scanner.ScanNext()
-				if inst.phases != nil {
-					inst.phases.ObserveWallSince(obs.PhaseScan, pt)
-					inst.phases.ObserveSim(obs.PhaseScan, res.CostNs)
-					pt = time.Now()
-				}
+				inst.phases.ObserveWallSince(obs.PhaseScan, pt)
+				inst.phases.ObserveSim(obs.PhaseScan, res.CostNs)
+				pt = inst.phases.Start()
 				st := inst.migrator.Rebalance(inst.VM, inst.scanner, s.Cfg.MaxMovesPerPass)
-				if inst.phases != nil {
-					// The rebalance wall time includes its ranking queries,
-					// which the scanner also reports under the rank phase;
-					// rank is a nested breakdown of migrate, not a sibling.
-					inst.phases.ObserveWallSince(obs.PhaseMigrate, pt)
-					inst.phases.ObserveSim(obs.PhaseMigrate, st.CostNs)
-				}
+				// The rebalance wall time includes its ranking queries,
+				// which the scanner also reports under the rank phase;
+				// rank is a nested breakdown of migrate, not a sibling.
+				inst.phases.ObserveWallSince(obs.PhaseMigrate, pt)
+				inst.phases.ObserveSim(obs.PhaseMigrate, st.CostNs)
 				inst.OS.AddOSTime(res.CostNs + st.CostNs)
 				inst.Res.ScanCostNs += res.CostNs
 				inst.Res.MigrateCostNs += st.CostNs
@@ -215,18 +203,14 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 						continue
 					}
 				}
-				if inst.phases != nil {
-					pt = time.Now()
-				}
+				pt = inst.phases.Start()
 				st := vmm.CoordinatedPass(inst.VM, inst.scanner, inst.OS, moves)
-				if inst.phases != nil {
-					// The coordinated pass fuses scan, rank, and migrate;
-					// its wall time lands on migrate (the pass exists to
-					// move pages), its simulated scan charge on scan, and
-					// the scanner's own rank-phase timing covers ranking.
-					inst.phases.ObserveWallSince(obs.PhaseMigrate, pt)
-					inst.phases.ObserveSim(obs.PhaseScan, st.ScanNs)
-				}
+				// The coordinated pass fuses scan, rank, and migrate; its
+				// wall time lands on migrate (the pass exists to move
+				// pages), its simulated scan charge on scan, and the
+				// scanner's own rank-phase timing covers ranking.
+				inst.phases.ObserveWallSince(obs.PhaseMigrate, pt)
+				inst.phases.ObserveSim(obs.PhaseScan, st.ScanNs)
 				inst.moveBudget -= st.Promoted + st.Demoted
 				inst.OS.AddOSTime(st.ScanNs)
 				inst.Res.ScanCostNs += st.ScanNs
@@ -244,8 +228,8 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 	// 5. Convert the epoch's work into LLC-miss traffic. Total miss
 	// volume comes from the workload's MPKI rescaled for the platform
 	// LLC (the backend owns the rescale: analytic applies the power-law
-	// miss curve, coarse skips it); the per-tier split follows the
-	// observed touch distribution.
+	// miss curve); the per-tier split follows the observed touch
+	// distribution.
 	effMPKI := s.Backend.EffectiveMPKI(s.Cfg.LLC, prof.MPKI, prof.WSSBytes)
 	totalMisses := float64(instr) / 1000 * effMPKI
 
@@ -286,14 +270,10 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 		}
 	}
 
-	if inst.phases != nil {
-		pt = time.Now()
-	}
+	pt = inst.phases.Start()
 	cost := s.Backend.Charge(charge)
-	if inst.phases != nil {
-		inst.phases.ObserveWallSince(obs.PhaseCharge, pt)
-		inst.phases.ObserveSim(obs.PhaseCharge, float64(cost.Total))
-	}
+	inst.phases.ObserveWallSince(obs.PhaseCharge, pt)
+	inst.phases.ObserveSim(obs.PhaseCharge, float64(cost.Total))
 	inst.Clock.Advance(cost.Total)
 	inst.scanDebt += cost.Total
 	// The coordinated migration budget scales with how well promotions

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"testing"
 
-	"heteroos/internal/memsim"
 	"heteroos/internal/policy"
 	"heteroos/internal/snapshot"
 	"heteroos/internal/workload"
 )
 
-// TestSnapshotVMMExclusiveCoarse pins the checkpoint/restore contract
-// for the combination outside TestSnapshotRoundTripParity's coverage:
-// a VMM-exclusive VM priced by the coarse backend. After restore, ten
-// lockstep epochs must keep the full serialized state byte-identical;
-// on divergence the test names the first checkpoint section to differ.
-func TestSnapshotVMMExclusiveCoarse(t *testing.T) {
+// TestSnapshotVMMExclusive pins the checkpoint/restore contract for the
+// mode outside TestSnapshotRoundTripParity's coverage: a VMM-exclusive
+// VM, whose migration state lives in the VMM rather than the guest.
+// After restore, ten lockstep epochs must keep the full serialized
+// state byte-identical; on divergence the test names the first
+// checkpoint section to differ.
+func TestSnapshotVMMExclusive(t *testing.T) {
 	mk := func() *System {
 		w, err := workload.ByName("writeheavy", workload.Config{Seed: 7})
 		if err != nil {
@@ -24,7 +24,6 @@ func TestSnapshotVMMExclusiveCoarse(t *testing.T) {
 		sys, err := NewSystem(Config{
 			FastFrames: 8192, SlowFrames: 32768,
 			Seed: 7, MaxEpochs: 4096,
-			Backend: memsim.CoarseBackend,
 			VMs: []VMConfig{{
 				ID: 4, Mode: policy.VMMExclusive(), Workload: w,
 				FastPages: 2048, SlowPages: 8192,

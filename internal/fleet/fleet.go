@@ -43,7 +43,7 @@ type vmState struct {
 	lost       bool
 	lostRound  int
 	migrations int
-	wrap       *surgeWorkload
+	wrap       *workload.Surge
 }
 
 func (st *vmState) view() VMView {
@@ -193,7 +193,7 @@ func (c *Cluster) vmConfig(st *vmState) (core.VMConfig, error) {
 	if err != nil {
 		return core.VMConfig{}, err
 	}
-	st.wrap = &surgeWorkload{inner: w, factor: 1}
+	st.wrap = workload.NewSurge(w)
 	return core.VMConfig{
 		ID: st.id, Mode: mode, Workload: st.wrap,
 		FastPages: st.fastPages, SlowPages: st.slowPages,
@@ -257,7 +257,7 @@ func (h *host) release(st *vmState) {
 // running reports whether the VM is still doing work somewhere: not
 // shut down, not stranded, workload unfinished.
 func (c *Cluster) running(st *vmState) bool {
-	return !st.down && !st.lost && !st.wrap.done && !c.hosts[st.host].failed
+	return !st.down && !st.lost && !st.wrap.Done() && !c.hosts[st.host].failed
 }
 
 // targets resolves a shutdown/surge event's VM set: the explicit id,
@@ -320,7 +320,7 @@ func (c *Cluster) apply(a action) error {
 		if a.clear {
 			for _, id := range c.surged[e] {
 				st := c.vms[id]
-				st.wrap.active = false
+				st.wrap.Active = false
 				if !st.down && !st.lost {
 					c.hosts[st.host].sys.EmitFault(id, obs.FaultSurge, false)
 				}
@@ -334,7 +334,7 @@ func (c *Cluster) apply(a action) error {
 		}
 		for _, id := range ids {
 			st := c.vms[id]
-			st.wrap.active, st.wrap.factor = true, factor
+			st.wrap.Active, st.wrap.Factor = true, factor
 			c.hosts[st.host].sys.EmitFault(id, obs.FaultSurge, true)
 		}
 		if e.Duration > 0 {
@@ -364,7 +364,7 @@ func (c *Cluster) failHost(id int) error {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, vid := range ids {
 		st := h.resident[vid]
-		if st.wrap.done {
+		if st.wrap.Done() {
 			continue
 		}
 		target := c.place.PlaceBoot(st.view(), c.hostViews())
@@ -563,7 +563,7 @@ func (c *Cluster) Result() (*Result, error) {
 			BootRound: st.bootRound, Host: st.host,
 			ShutdownRound: -1,
 			Migrations:    st.migrations,
-			Completed:     st.wrap.done,
+			Completed:     st.wrap.Done(),
 			Lost:          st.lost,
 		}
 		if st.down {

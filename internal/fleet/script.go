@@ -56,9 +56,9 @@ type HostDesc struct {
 	// Share selects the VMM share policy on every host (default
 	// static).
 	Share string `json:"share,omitempty"`
-	// Backend names the machine-model backend (default coarse — a
-	// thousand hosts under the analytic model would dominate the run
-	// with pricing, not management).
+	// Backend names the machine-model backend (default analytic).
+	// Pricing runs once per VM per epoch, a negligible share of even a
+	// thousand-host run.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -142,7 +142,7 @@ func (sc *Script) share() string {
 
 func (sc *Script) backend() string {
 	if sc.Host.Backend == "" {
-		return memsim.BackendCoarse
+		return memsim.BackendAnalytic
 	}
 	return sc.Host.Backend
 }
@@ -210,7 +210,7 @@ func (sc *Script) validateGroup(g *VMGroup) error {
 // targets.
 func (sc *Script) Validate() error {
 	fail := func(format string, args ...any) error {
-		return fmt.Errorf("fleet script %q: %s", sc.Name, fmt.Sprintf(format, args...))
+		return fmt.Errorf("fleet script %q: %w", sc.Name, fmt.Errorf(format, args...))
 	}
 	if sc.Name == "" {
 		return errors.New("fleet script: missing name")
@@ -230,14 +230,14 @@ func (sc *Script) Validate() error {
 		return fail("unknown share policy %q", sc.Host.Share)
 	}
 	if _, err := memsim.BuilderByName(sc.backend()); err != nil {
-		return fail("%v", err)
+		return fail("%w", err)
 	}
 	if _, err := PlacementByName(sc.placement()); err != nil {
-		return fail("%v", err)
+		return fail("%w", err)
 	}
 	for _, g := range sc.groups() {
 		if err := sc.validateGroup(g); err != nil {
-			return fail("%v", err)
+			return fail("%w", err)
 		}
 	}
 	maxID := int32(sc.TotalVMs())

@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+
+	"heteroos/internal/memsim"
 )
 
 // validScript returns a minimal script that passes Validate; each case
@@ -23,7 +27,7 @@ func TestScriptValidateAcceptsDefaults(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("valid script rejected: %v", err)
 	}
-	if sc.share() != "static" || sc.backend() != "coarse" || sc.placement() != PlacementFirstFit {
+	if sc.share() != "static" || sc.backend() != "analytic" || sc.placement() != PlacementFirstFit {
 		t.Errorf("defaults: share=%q backend=%q placement=%q", sc.share(), sc.backend(), sc.placement())
 	}
 	if sc.TotalVMs() != 1 {
@@ -43,6 +47,7 @@ func TestScriptValidateRejections(t *testing.T) {
 		{"no host shape", func(sc *Script) { sc.Host.FastFrames = 0 }, "host shape"},
 		{"bad share", func(sc *Script) { sc.Host.Share = "equal" }, "share policy"},
 		{"bad backend", func(sc *Script) { sc.Host.Backend = "exact" }, "backend"},
+		{"coarse backend", func(sc *Script) { sc.Host.Backend = "coarse" }, "unknown backend"},
 		{"bad placement", func(sc *Script) { sc.Placement = "spread" }, "placement policy"},
 		{"bad mode", func(sc *Script) { sc.VMs[0].Mode = "nope" }, "nope"},
 		{"bad app", func(sc *Script) { sc.VMs[0].App = "nope" }, "nope"},
@@ -70,6 +75,18 @@ func TestScriptValidateRejections(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+
+	// A JSON script naming a backend memsim does not build fails with
+	// the typed error instead of silently changing pricing.
+	sc := validScript()
+	sc.Host.Backend = "coarse"
+	js, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(js); !errors.Is(err, memsim.ErrUnknownBackend) {
+		t.Errorf("Parse with backend coarse = %v, want ErrUnknownBackend", err)
 	}
 }
 

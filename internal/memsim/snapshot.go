@@ -67,8 +67,7 @@ func (m *Machine) Restore(d *snapshot.Decoder) error {
 
 // StateSnapshotter is implemented by backends that carry mutable run
 // state beyond the machine (e.g. Replay's trace cursor). Stateless
-// backends (analytic, coarse — whose spec coefficients self-refresh via
-// Machine.SpecGen) need not implement it.
+// backends (analytic) need not implement it.
 type StateSnapshotter interface {
 	SnapshotState(e *snapshot.Encoder)
 	RestoreState(d *snapshot.Decoder) error

@@ -92,8 +92,18 @@ func (p *PhaseProfiler) ObserveWall(ph Phase, ns int64) {
 	p.wall[ph].Observe(float64(ns))
 }
 
+// Start returns the wall-clock anchor for a later ObserveWallSince. A
+// nil profiler returns the zero time without reading the clock, so
+// unprofiled runs never touch the host clock.
+func (p *PhaseProfiler) Start() time.Time {
+	if p == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // ObserveWallSince records the wall-clock time elapsed since t0.
-// Call sites use the explicit t0 := time.Now() ... ObserveWallSince
+// Call sites use the explicit t0 := p.Start() ... ObserveWallSince
 // pattern rather than defer closures, which would allocate.
 func (p *PhaseProfiler) ObserveWallSince(ph Phase, t0 time.Time) {
 	if p == nil {

@@ -116,24 +116,32 @@ func TestResumeParity(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossBackends checks checkpoint/restore under the coarse
-// backend (whose pricing state self-refreshes from the machine spec).
+// TestResumeAcrossBackends checks checkpoint/restore of a scenario that
+// names its backend: the name rides inside the checkpoint's embedded
+// scenario, and the resumed run must rebuild the same backend and
+// finish byte-identically — and identically to the unnamed default.
 func TestResumeAcrossBackends(t *testing.T) {
 	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "coarse.hosnap")
-	mk := func() *Scenario {
-		sc := eventful("ckpt-coarse", 31)
-		sc.Backend = "coarse"
+	ckPath := filepath.Join(dir, "named.hosnap")
+	mk := func(backend string) *Scenario {
+		sc := eventful("ckpt-named", 31)
+		sc.Backend = backend
 		return sc
 	}
 	fullRes, _ := runWithEvents(t, func(h *obs.Obs) (*Result, error) {
-		return mk().CheckpointAt(21, ckPath).Run(context.Background(), h)
+		return mk(memsim.BackendAnalytic).CheckpointAt(21, ckPath).Run(context.Background(), h)
 	})
 	resumedRes, _ := runWithEvents(t, func(h *obs.Obs) (*Result, error) {
 		return ResumeFile(context.Background(), ckPath, h, CheckpointOptions{})
 	})
 	if !bytes.Equal(fullRes, resumedRes) {
-		t.Errorf("resumed coarse-backend result differs:\n%s\nvs\n%s", fullRes, resumedRes)
+		t.Errorf("resumed named-backend result differs:\n%s\nvs\n%s", fullRes, resumedRes)
+	}
+	defaultRes, _ := runWithEvents(t, func(h *obs.Obs) (*Result, error) {
+		return mk("").CheckpointAt(21, filepath.Join(dir, "default.hosnap")).Run(context.Background(), h)
+	})
+	if !bytes.Equal(fullRes, defaultRes) {
+		t.Errorf("named analytic differs from the default backend:\n%s\nvs\n%s", fullRes, defaultRes)
 	}
 }
 

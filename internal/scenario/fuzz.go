@@ -61,10 +61,9 @@ type Repro struct {
 // construction — Validate-clean scripts only; runtime admission is the
 // engine's problem, not the generator's.
 var (
-	fuzzApps     = []string{"memlat", "stream", "writeheavy"}
-	fuzzModes    = []string{"HeteroOS-coordinated", "HeteroOS-coordinated-NVM", "VMM-exclusive", "NUMA-preferred"}
-	fuzzShares   = []string{"drf", "max-min", "static"}
-	fuzzBackends = []string{"analytic", "coarse"}
+	fuzzApps   = []string{"memlat", "stream", "writeheavy"}
+	fuzzModes  = []string{"HeteroOS-coordinated", "HeteroOS-coordinated-NVM", "VMM-exclusive", "NUMA-preferred"}
+	fuzzShares = []string{"drf", "max-min", "static"}
 )
 
 func fuzzVM(rng *sim.RNG, id int32) VMDesc {
@@ -80,16 +79,15 @@ func fuzzVM(rng *sim.RNG, id int32) VMDesc {
 }
 
 // Generate builds a random scenario from seed: machine shape, share
-// policy, backend, 1–3 epoch-0 VMs, and up to 8 script events drawn
-// from every event kind with in-range parameters. The result is a pure
-// function of seed and always passes Validate.
+// policy, 1–3 epoch-0 VMs, and up to 8 script events drawn from every
+// event kind with in-range parameters. The result is a pure function of
+// seed and always passes Validate.
 func Generate(seed uint64) *Scenario {
 	rng := sim.NewRNG(seed ^ 0x5eed5eedf0f5a9)
 	sc := New(fmt.Sprintf("fuzz-%d", seed), seed)
 	fast := uint64(1024 + 512*rng.Intn(5))
 	sc.WithMachine(fast, fast*uint64(4+rng.Intn(5)))
 	sc.WithShare(fuzzShares[rng.Intn(len(fuzzShares))])
-	sc.WithBackend(fuzzBackends[rng.Intn(len(fuzzBackends))])
 	sc.WithMaxEpochs(16 + rng.Intn(25))
 
 	next := int32(1)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"heteroos/internal/guestos"
@@ -181,6 +182,13 @@ func TestCommittedRepro(t *testing.T) {
 	}
 	if !errors.Is(ferr, ErrInvariant) {
 		t.Fatalf("committed repro failed for the wrong reason: %v", ferr)
+	}
+	// The recorded error names the generated scenario (fuzz-<seed>),
+	// not the committed name; everything after the name must match.
+	_, got, _ := strings.Cut(ferr.Error(), " epoch ")
+	_, want, _ := strings.Cut(r.Err, " epoch ")
+	if got != want {
+		t.Errorf("committed repro failed differently:\n got  %v\n want %s", ferr, r.Err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"heteroos/internal/obs"
 	"heteroos/internal/snapshot"
 	"heteroos/internal/vmm"
+	"heteroos/internal/workload"
 )
 
 // metaKind tags scenario checkpoints so a snapshot written by another
@@ -134,7 +135,7 @@ func Resume(ctx context.Context, rd *snapshot.Reader, h *obs.Obs, ck CheckpointO
 		return nil, fmt.Errorf("scenario %q: periodic checkpoints need a path", sc.Name)
 	}
 	st := &runState{
-		sc: sc, wraps: make(map[vmm.VMID]*surgeWorkload),
+		sc: sc, wraps: make(map[vmm.VMID]*workload.Surge),
 		runs: meta.Runs, timeline: meta.Timeline,
 		prevMove: meta.PrevMove, prevBallIn: meta.PrevBallIn, prevRefuse: meta.PrevRefuse,
 		lastSampled: meta.LastSampled, consumed: meta.Consumed, ck: ck,

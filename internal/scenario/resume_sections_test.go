@@ -7,16 +7,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"heteroos/internal/memsim"
 	"heteroos/internal/snapshot"
 )
 
-// TestResumeChurnCoarseSections pins scenario resume under a
-// non-default backend: the bundled churn scenario with the coarse
-// backend selected by name must, after resuming a mid-run checkpoint,
-// re-emit byte-identical snapshots at every later checkpoint event.
-// On failure the test names the first section whose bytes diverge
-// between the uninterrupted run and the resumed one.
-func TestResumeChurnCoarseSections(t *testing.T) {
+// TestResumeChurnSections pins scenario resume at section level: the
+// bundled churn scenario, with its backend selected by name, must,
+// after resuming a mid-run checkpoint, re-emit byte-identical
+// snapshots at every later checkpoint event. On failure the test names
+// the first section whose bytes diverge between the uninterrupted run
+// and the resumed one.
+func TestResumeChurnSections(t *testing.T) {
 	dir := t.TempDir()
 	p := func(tag string, ep int) string {
 		return filepath.Join(dir, tag+"-"+string(rune('0'+ep/10))+string(rune('0'+ep%10))+".snap")
@@ -26,7 +27,7 @@ func TestResumeChurnCoarseSections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc.WithBackend("coarse")
+		sc.Backend = memsim.BackendAnalytic
 		for ep := 52; ep <= 55; ep++ {
 			sc.CheckpointAt(ep, p(tag, ep))
 		}

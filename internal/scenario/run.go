@@ -7,82 +7,15 @@ import (
 	"strings"
 
 	"heteroos/internal/core"
-	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
 	"heteroos/internal/metrics"
 	"heteroos/internal/obs"
 	"heteroos/internal/policy"
 	"heteroos/internal/runner"
 	"heteroos/internal/sim"
-	"heteroos/internal/snapshot"
 	"heteroos/internal/vmm"
 	"heteroos/internal/workload"
 )
-
-// surgeWorkload wraps every scenario VM's workload so a surge window
-// can multiply its demand: while active, Step runs the inner workload
-// factor times per epoch (a hog VM allocating and touching at a
-// multiple of its steady rate). Inactive, it is a single branch.
-type surgeWorkload struct {
-	inner  workload.Workload
-	factor int
-	active bool
-	// done records whether the inner workload ran to completion, which
-	// distinguishes "finished" from "shut down mid-run" in the result.
-	done bool
-}
-
-func (w *surgeWorkload) Profile() workload.Profile { return w.inner.Profile() }
-
-func (w *surgeWorkload) Init(os *guestos.OS) error { return w.inner.Init(os) }
-
-func (w *surgeWorkload) Step(os *guestos.OS) (uint64, bool) {
-	steps := 1
-	if w.active && w.factor > 1 {
-		steps = w.factor
-	}
-	var instr uint64
-	var done bool
-	for i := 0; i < steps && !done; i++ {
-		var n uint64
-		n, done = w.inner.Step(os)
-		instr += n
-	}
-	if done {
-		w.done = true
-	}
-	return instr, done
-}
-
-// SnapshotState implements workload.Snapshotter: the surge window state
-// plus the wrapped workload's own progress. Core refuses to checkpoint
-// a workload that cannot be restored, so the inner-snapshotter presence
-// bit lets that refusal surface as a decode error instead of silence.
-func (w *surgeWorkload) SnapshotState(e *snapshot.Encoder) {
-	e.Bool(w.active)
-	e.Int(w.factor)
-	e.Bool(w.done)
-	ws, ok := w.inner.(workload.Snapshotter)
-	e.Bool(ok)
-	if ok {
-		ws.SnapshotState(e)
-	}
-}
-
-// RestoreState implements workload.Snapshotter.
-func (w *surgeWorkload) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
-	w.active = d.Bool()
-	w.factor = d.Int()
-	w.done = d.Bool()
-	if !d.Bool() {
-		return fmt.Errorf("scenario: checkpointed workload %T did not support snapshotting", w.inner)
-	}
-	ws, ok := w.inner.(workload.Snapshotter)
-	if !ok {
-		return fmt.Errorf("scenario: workload %T cannot restore checkpointed state", w.inner)
-	}
-	return ws.RestoreState(d, os)
-}
 
 // action is one expanded script step: events with a Duration unfold
 // into a start action at At and a clear action at At+Duration.
@@ -149,7 +82,7 @@ type Result struct {
 type runState struct {
 	sc    *Scenario
 	sys   *core.System
-	wraps map[vmm.VMID]*surgeWorkload
+	wraps map[vmm.VMID]*workload.Surge
 	runs  []*VMRun
 
 	timeline   []Sample
@@ -195,7 +128,7 @@ func (st *runState) vmConfig(v *VMDesc) (core.VMConfig, error) {
 	if err != nil {
 		return core.VMConfig{}, err
 	}
-	sw := &surgeWorkload{inner: w, factor: 1}
+	sw := workload.NewSurge(w)
 	st.wraps[vmm.VMID(v.ID)] = sw
 	return core.VMConfig{
 		ID: vmm.VMID(v.ID), Mode: mode, Workload: sw,
@@ -256,7 +189,7 @@ func (st *runState) apply(a action, epoch int) error {
 			// VMs' workload wraps, so a departed VM's completion must
 			// already be on record.
 			if sw, ok := st.wraps[vmm.VMID(e.VM)]; ok {
-				r.Completed = sw.done
+				r.Completed = sw.Done()
 			}
 		}
 	case KindThrottleShift:
@@ -274,7 +207,7 @@ func (st *runState) apply(a action, epoch int) error {
 		if factor == 0 {
 			factor = 2
 		}
-		sw.active, sw.factor = !a.clear, factor
+		sw.Active, sw.Factor = !a.clear, factor
 		st.sys.EmitFault(vmm.VMID(e.VM), obs.FaultSurge, !a.clear)
 	}
 	return nil
@@ -383,7 +316,7 @@ func (sc *Scenario) newRun(h *obs.Obs, ck CheckpointOptions) (*runState, []actio
 	if ck.Every > 0 && ck.Path == "" {
 		return nil, nil, fmt.Errorf("scenario %q: periodic checkpoints need a path", sc.Name)
 	}
-	st := &runState{sc: sc, wraps: make(map[vmm.VMID]*surgeWorkload), lastSampled: -1, ck: ck}
+	st := &runState{sc: sc, wraps: make(map[vmm.VMID]*workload.Surge), lastSampled: -1, ck: ck}
 	cfg, err := sc.baseConfig(h)
 	if err != nil {
 		return nil, nil, err
@@ -485,7 +418,7 @@ func (st *runState) loop(ctx context.Context, startEpoch int, actions []action, 
 		}
 		r.Res = *vr
 		if sw, ok := st.wraps[r.ID]; ok {
-			r.Completed = sw.done
+			r.Completed = sw.Done()
 		}
 		res.VMs = append(res.VMs, *r)
 	}

@@ -106,8 +106,9 @@ type Scenario struct {
 	SlowThrottle *memsim.Throttle `json:"slow_throttle,omitempty"`
 	// Share names the VMM share policy: "static", "max-min", or "drf".
 	Share string `json:"share,omitempty"`
-	// Backend names the machine-model backend ("analytic", "coarse");
-	// empty means analytic. "replay" cannot be named from JSON — it
+	// Backend names the machine-model backend; empty or "analytic"
+	// means analytic, and any other name fails Validate with
+	// memsim.ErrUnknownBackend. "replay" cannot be named from JSON — it
 	// needs a loaded trace, so it is only reachable through
 	// BackendBuilder.
 	Backend string `json:"backend,omitempty"`
@@ -146,12 +147,6 @@ func (sc *Scenario) WithMachine(fastFrames, slowFrames uint64) *Scenario {
 // WithShare selects the VMM share policy ("static", "max-min", "drf").
 func (sc *Scenario) WithShare(share string) *Scenario {
 	sc.Share = share
-	return sc
-}
-
-// WithBackend names the machine-model backend ("analytic", "coarse").
-func (sc *Scenario) WithBackend(name string) *Scenario {
-	sc.Backend = name
 	return sc
 }
 

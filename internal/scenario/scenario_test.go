@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -106,7 +107,16 @@ func TestValidateRejections(t *testing.T) {
 			sc.VMs[0].ID = 0
 			return sc
 		}},
-		{"unknown backend", func() *Scenario { return base().WithBackend("quantum") }},
+		{"unknown backend", func() *Scenario {
+			sc := base()
+			sc.Backend = "quantum"
+			return sc
+		}},
+		{"coarse backend", func() *Scenario {
+			sc := base()
+			sc.Backend = "coarse"
+			return sc
+		}},
 		{"checkpoint without path", func() *Scenario {
 			sc := base()
 			sc.Events = append(sc.Events, Event{At: 2, Kind: KindCheckpoint})
@@ -126,6 +136,20 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("valid scenario rejected: %v", err)
+	}
+
+	// A JSON script naming a backend memsim does not build fails with
+	// the typed error instead of silently changing pricing.
+	for _, name := range []string{"quantum", "coarse"} {
+		sc := base()
+		sc.Backend = name
+		js, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Parse(js); !errors.Is(err, memsim.ErrUnknownBackend) {
+			t.Errorf("Parse with backend %q = %v, want ErrUnknownBackend", name, err)
+		}
 	}
 }
 

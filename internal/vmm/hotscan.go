@@ -3,7 +3,6 @@ package vmm
 import (
 	"math/bits"
 	"sort"
-	"time"
 
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
@@ -420,42 +419,32 @@ func (s *Scanner) rankIn(machine *memsim.Machine, tier memsim.Tier, hotFirst boo
 // index attached the result is served allocation-free from a reusable
 // buffer, valid until the next HottestIn call.
 func (s *Scanner) HottestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.phases != nil {
-		t0 := time.Now()
-		out := s.hottestIn(machine, tier, max)
-		s.phases.ObserveWallSince(obs.PhaseRank, t0)
-		return out
-	}
-	return s.hottestIn(machine, tier, max)
-}
-
-func (s *Scanner) hottestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
+	t0 := s.phases.Start()
+	var out []guestos.PFN
 	if s.index != nil {
 		s.hotBuf = s.index.descendInto(s.hotBuf[:0], tier, s.HotThreshold, s.TrustGuestState, max)
-		return s.hotBuf
+		out = s.hotBuf
+	} else {
+		out = s.rankIn(machine, tier, true, max, false)
 	}
-	return s.rankIn(machine, tier, true, max, false)
+	s.phases.ObserveWallSince(obs.PhaseRank, t0)
+	return out
 }
 
 // ColdestIn returns up to max minimum-heat pages backed by tier,
 // coldest first. With an index attached the result shares CoolestIn's
 // reusable buffer, valid until the next ColdestIn/CoolestIn call.
 func (s *Scanner) ColdestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.phases != nil {
-		t0 := time.Now()
-		out := s.coldestIn(machine, tier, max)
-		s.phases.ObserveWallSince(obs.PhaseRank, t0)
-		return out
-	}
-	return s.coldestIn(machine, tier, max)
-}
-
-func (s *Scanner) coldestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
+	t0 := s.phases.Start()
+	var out []guestos.PFN
 	if s.index != nil {
 		s.coldBuf = s.index.ascendInto(s.coldBuf[:0], tier, s.ColdThreshold, s.TrustGuestState, max)
-		return s.coldBuf
+		out = s.coldBuf
+	} else {
+		out = s.rankIn(machine, tier, false, max, false)
 	}
-	return s.rankIn(machine, tier, false, max, false)
+	s.phases.ObserveWallSince(obs.PhaseRank, t0)
+	return out
 }
 
 // CoolestIn returns up to max pages backed by tier in ascending score
@@ -464,21 +453,16 @@ func (s *Scanner) coldestIn(machine *memsim.Machine, tier memsim.Tier, max int) 
 // can still be the right page to displace for a write-hot one, and the
 // heat margin decides case by case.
 func (s *Scanner) CoolestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.phases != nil {
-		t0 := time.Now()
-		out := s.coolestIn(machine, tier, max)
-		s.phases.ObserveWallSince(obs.PhaseRank, t0)
-		return out
-	}
-	return s.coolestIn(machine, tier, max)
-}
-
-func (s *Scanner) coolestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
+	t0 := s.phases.Start()
+	var out []guestos.PFN
 	if s.index != nil {
 		s.coldBuf = s.index.ascendInto(s.coldBuf[:0], tier, numHeatBuckets-1, s.TrustGuestState, max)
-		return s.coldBuf
+		out = s.coldBuf
+	} else {
+		out = s.rankIn(machine, tier, false, max, true)
 	}
-	return s.rankIn(machine, tier, false, max, true)
+	s.phases.ObserveWallSince(obs.PhaseRank, t0)
+	return out
 }
 
 // AdaptiveInterval implements Equation 1: the scan/migration interval
