@@ -513,6 +513,19 @@ func BenchmarkAblationWriteAwareMigration(b *testing.B) {
 // BenchmarkExtNVMWriteAware regenerates the Section 4.3 extension study.
 func BenchmarkExtNVMWriteAware(b *testing.B) { benchExperiment(b, "ext-nvm", true) }
 
+// --- End to end: the default run ---
+
+// BenchmarkDefaultRun is the simulator's default configuration end to
+// end: one GraphChi VM, HeteroOS-coordinated, FastMem a quarter of the
+// 8 GiB SlowMem. Nearly all of it is the guest access path: the touch
+// generator, faults, reclaim and LRU bookkeeping.
+func BenchmarkDefaultRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runGraphChi(b, policy.HeteroOSCoordinated(), nil)
+	}
+}
+
 // --- Runner: sweep scaling ---
 
 // The Figure 9 sweep regenerated serially vs on the full worker pool —

@@ -476,9 +476,10 @@ func (o *OS) SetBackingMFN(pfn PFN, mfn memsim.MFN) {
 // until the next TrackingList call (the coordinated pass consumes it
 // immediately; nothing retains it across passes).
 //
-// The full VMA walk is expensive (one Translate per vpn), so the list
-// is cached against the address space's mapping generation: as long as
-// no map/unmap/populate changed a translation, repeat calls return the
+// A rebuild walks the page table once per level-0 node and reads its
+// leaves contiguously. It is still a full VMA sweep, so the list is
+// cached against the address space's mapping generation: as long as no
+// map/unmap/populate changed a translation, repeat calls return the
 // previous walk's result unchanged.
 func (o *OS) TrackingList() []PFN {
 	if o.trackValid && o.trackGen == o.AS.mapGen {
@@ -491,14 +492,9 @@ func (o *OS) TrackingList() []PFN {
 	// once where an uninterrupted run kept its cache).
 	defer func(saved uint64) { o.AS.walkSteps = saved }(o.AS.walkSteps)
 	out := o.trackBuf[:0]
-	for _, v := range o.AS.VMAs() {
-		if v.Kind != KindAnon {
-			continue
-		}
-		for vpn := v.Start; vpn < v.End(); vpn++ {
-			if pfn, ok := o.AS.Translate(vpn); ok {
-				out = append(out, pfn)
-			}
+	for _, id := range o.AS.order {
+		if v := o.AS.vmas[id]; v.Kind == KindAnon {
+			out = o.AS.appendResident(out, v)
 		}
 	}
 	o.trackBuf = out

@@ -168,6 +168,54 @@ func (l *PageLRU) RotateInactive(pfn PFN) {
 	l.pushHead(&l.inactive, pfn)
 }
 
+// RotateAnonRun rotates the run of anonymous pages at the inactive tail
+// to the inactive head, clearing their referenced bits, and returns the
+// number of rotations. It is exactly max successive RotateInactive calls
+// on the tail that stop early at the first non-anonymous tail page, done
+// in one bit-clearing walk and one O(1) relink instead of a per-page
+// unlink and push. When the whole list is anonymous, a full cycle leaves
+// the order unchanged once the bits are clear, so only max mod
+// InactiveCount further positions move and the walk never loops.
+func (l *PageLRU) RotateAnonRun(max uint64) uint64 {
+	s := l.store
+	lst := &l.inactive
+	var n uint64
+	first := NilPFN // head-most page of the run
+	for pfn := lst.tail; pfn != NilPFN && n < max && PageKind(s.kind[pfn]) == KindAnon; pfn = s.lruPrev[pfn] {
+		bitClear(s.accessed, pfn)
+		first = pfn
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	if n < lst.count {
+		l.spliceTailToHead(lst, first)
+		return n
+	}
+	// The run is the whole list: the first cycle restored the order.
+	if r := (max - n) % lst.count; r > 0 {
+		first = lst.tail
+		for i := uint64(1); i < r; i++ {
+			first = s.lruPrev[first]
+		}
+		l.spliceTailToHead(lst, first)
+	}
+	return max
+}
+
+// spliceTailToHead moves the segment from first to the tail of lst to
+// its head, preserving the segment's order. first must not be the head.
+func (l *PageLRU) spliceTailToHead(lst *lruList, first PFN) {
+	s := l.store
+	newTail := s.lruPrev[first]
+	s.lruNext[newTail] = NilPFN
+	s.lruPrev[first] = NilPFN
+	s.lruNext[lst.tail] = lst.head
+	s.lruPrev[lst.head] = lst.tail
+	lst.head, lst.tail = first, newTail
+}
+
 // ActiveCount reports the active list length.
 func (l *PageLRU) ActiveCount() uint64 { return l.active.count }
 

@@ -239,6 +239,28 @@ func (a *AddrSpace) Translate(vpn VPN) (PFN, bool) {
 	return pfn, st == ptPresent
 }
 
+// appendResident appends the frames mapped in v, in VPN order, walking
+// the page table once per level-0 node and skipping absent and swapped
+// leaves.
+func (a *AddrSpace) appendResident(out []PFN, v *VMA) []PFN {
+	for vpn, end := v.Start, v.End(); vpn < end; {
+		next := (vpn | ptFanoutMask) + 1 // first VPN of the next level-0 node
+		if next > end {
+			next = end
+		}
+		if n := a.walk(vpn, false); n != nil {
+			lo := ptIndex(vpn, 0)
+			for _, e := range n.leaves[lo : lo+int(next-vpn)] {
+				if e != ptEntryAbsent && e != ptEntrySwapped {
+					out = append(out, e)
+				}
+			}
+		}
+		vpn = next
+	}
+	return out
+}
+
 // mapPage installs vpn → pfn.
 func (a *AddrSpace) mapPage(vpn VPN, pfn PFN) {
 	n := a.walk(vpn, true)

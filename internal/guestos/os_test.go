@@ -1,6 +1,8 @@
 package guestos
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"heteroos/internal/memsim"
@@ -833,5 +835,74 @@ func TestCostModelScaled(t *testing.T) {
 	}
 	if bad := c.Scaled(0); bad.PageFaultNs != c.PageFaultNs {
 		t.Fatal("non-positive factor must be identity")
+	}
+}
+
+// TestTrackingListMatchesTranslate checks the leaf-by-leaf rebuild
+// against a per-VPN Translate oracle over VMAs that straddle level-0
+// node boundaries at odd offsets, with unmapped holes (untouched pages,
+// whole absent table nodes, a munmapped area), swapped entries and a
+// file mapping, and checks the rebuild leaves walkSteps alone.
+func TestTrackingListMatchesTranslate(t *testing.T) {
+	os := mmOS(t)
+	rng := rand.New(rand.NewPCG(3, 0))
+	var areas []*VMA
+	for _, pages := range []uint64{700, 37, 1300, 2048, 5} {
+		v, err := os.AS.Mmap(pages, KindAnon, NilFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		areas = append(areas, v)
+	}
+	file, err := os.AS.Mmap(64, KindPageCache, FileID(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range areas {
+		for i := uint64(0); i < v.Pages; i++ {
+			// Leave [600, 1200) of the 1300-page area untouched so a
+			// whole level-0 node may be absent.
+			if rng.IntN(3) == 0 || (v.Pages == 1300 && i >= 600 && i < 1200) {
+				continue
+			}
+			pfn, err := os.TouchVPN(v.Start+VPN(i), 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rng.IntN(10) == 0 && !os.swapOutPage(pfn) {
+				t.Fatal("swap out failed")
+			}
+		}
+	}
+	for i := 0; i < 64; i += 3 {
+		if _, err := os.TouchVPN(file.Start+VPN(i), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.AS.Munmap(areas[1].ID); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []PFN
+	for _, v := range os.AS.VMAs() {
+		if v.Kind != KindAnon {
+			continue
+		}
+		for vpn := v.Start; vpn < v.End(); vpn++ {
+			if pfn, ok := os.AS.Translate(vpn); ok {
+				want = append(want, pfn)
+			}
+		}
+	}
+	steps := os.AS.WalkSteps()
+	got := os.TrackingList()
+	if os.AS.WalkSteps() != steps {
+		t.Fatalf("TrackingList moved walkSteps %d -> %d", steps, os.AS.WalkSteps())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tracking list has %d pages, Translate oracle %d (or order differs)", len(got), len(want))
+	}
+	if os.SwappedPages() == 0 {
+		t.Fatal("fixture swapped nothing out")
 	}
 }

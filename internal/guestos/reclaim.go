@@ -46,10 +46,22 @@ func (o *OS) reclaimPass(idx int, target uint64, cacheOnly bool) uint64 {
 		o.balanceBuf = l.BalanceInto(o.balanceBuf[:0], int(2*target))
 	}
 	attempts := l.InactiveCount() + l.ActiveCount()
+	st := o.store
+	// Window changes only in allocPage, which the walk reaches only
+	// through a demotion's page-table remap; the guard is refreshed there.
+	guard := o.recencyGuard()
 walk:
 	for freed < target && attempts > 0 {
-		attempts--
 		pfn := l.TailInactive()
+		if cacheOnly && pfn != NilPFN && st.Kind(pfn) == KindAnon {
+			// Every anonymous page is rotated in a cache-only pass,
+			// whichever guard it trips first: rotate the whole run at once.
+			k := l.RotateAnonRun(attempts)
+			attempts -= k
+			rotations += k
+			continue
+		}
+		attempts--
 		if pfn == NilPFN {
 			if cacheOnly {
 				break
@@ -60,7 +72,6 @@ walk:
 			}
 			continue
 		}
-		st := o.store
 		if st.Has(pfn, FlagAccessed) {
 			l.RotateInactive(pfn)
 			rotations++
@@ -73,10 +84,6 @@ walk:
 		// than demoting a hot page. When FastMem is far smaller than the
 		// working set everything is recent and the guard would starve
 		// reclaim entirely, so it relaxes under heavy allocation misses.
-		guard := uint32(2)
-		if o.Window.OverallMissRatio() > 0.5 {
-			guard = 0
-		}
 		if st.LastUse(pfn)+guard >= o.epoch && o.epoch >= 2 {
 			l.RotateInactive(pfn)
 			rotations++
@@ -98,16 +105,13 @@ walk:
 				freed++
 			}
 		case KindAnon:
-			if cacheOnly {
-				l.RotateInactive(pfn)
-				rotations++
-				continue
-			}
 			if n.Tier == memsim.FastMem && o.cfg.Aware {
 				if o.ep.Demotions >= demotionRateCap {
 					break walk // budget exhausted this epoch; allocations spill
 				}
-				if o.demoteAnonPage(pfn) {
+				demoted := o.demoteAnonPage(pfn)
+				guard = o.recencyGuard()
+				if demoted {
 					freed++
 					continue
 				}
@@ -133,6 +137,15 @@ walk:
 		o.obs.scope.Emit(obs.EvReclaim, dir, o.nodeTierByte(idx), 0, freed, rotations, 0)
 	}
 	return freed
+}
+
+// recencyGuard is reclaimPass's recency window in epochs: two, relaxed
+// to zero while more than half of FastMem allocations miss.
+func (o *OS) recencyGuard() uint32 {
+	if o.Window.OverallMissRatio() > 0.5 {
+		return 0
+	}
+	return 2
 }
 
 // evictCachePage drops a page-cache page, writing it back first when

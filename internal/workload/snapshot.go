@@ -46,19 +46,25 @@ func (h *heapRegion) snapshot(e *snapshot.Encoder) {
 
 func (h *heapRegion) restore(d *snapshot.Decoder, os *guestos.OS) error {
 	id := guestos.VMAID(d.U32())
-	h.rng.Restore(restoreRNGState(d))
-	h.pages = d.U64()
-	h.hotPages = d.U64()
-	h.hotFrac = d.F64()
-	h.hotStart = d.U64()
-	h.drift = d.U64()
+	rng := restoreRNGState(d)
+	pages, hotPages, hotFrac := d.U64(), d.U64(), d.F64()
+	hotStart, drift := d.U64(), d.U64()
 	if err := d.Err(); err != nil {
 		return err
+	}
+	// The touch counters are sized by Init; a snapshot of another
+	// geometry would index past them.
+	if pages != uint64(len(h.counts)) || hotPages == 0 || hotPages > pages {
+		return fmt.Errorf("workload: snapshot heap region of %d pages (%d hot) does not match the %d-page region Init built",
+			pages, hotPages, len(h.counts))
 	}
 	vma, ok := os.AS.VMAByID(id)
 	if !ok {
 		return fmt.Errorf("workload: snapshot heap region VMA %d not in restored address space", id)
 	}
+	h.rng.Restore(rng)
+	h.pages, h.hotPages, h.hotFrac = pages, hotPages, hotFrac
+	h.hotStart, h.drift = hotStart, drift
 	h.vma = vma
 	return nil
 }

@@ -19,7 +19,8 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
 
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
@@ -124,7 +125,12 @@ type heapRegion struct {
 	hotFrac  float64
 	hotStart uint64 // drifting window base
 	drift    uint64 // window advance per epoch, in pages
-	counts   map[guestos.VPN]uint64
+	// counts and touched are touch's scratch counter table: a dense
+	// per-page access count and a bitmap of the pages with a nonzero
+	// count, both sized to the region. touch consumes and zeroes them
+	// before it returns, so they are never serialized.
+	counts  []uint32
+	touched []uint64
 }
 
 func newHeapRegion(os *guestos.OS, rng *sim.RNG, pages, hotPages uint64, hotFrac float64) (*heapRegion, error) {
@@ -144,7 +150,8 @@ func newHeapRegion(os *guestos.OS, rng *sim.RNG, pages, hotPages uint64, hotFrac
 		pages:    pages,
 		hotPages: hotPages,
 		hotFrac:  hotFrac,
-		counts:   make(map[guestos.VPN]uint64, touchSamples),
+		counts:   make([]uint32, pages),
+		touched:  make([]uint64, (pages+63)/64),
 	}, nil
 }
 
@@ -163,37 +170,50 @@ func (h *heapRegion) sample() (uint64, bool) {
 	return (h.hotStart + h.hotPages + off) % h.pages, false
 }
 
+// pageToucher is the guest entry point touch drives: *guestos.OS, or a
+// recorder wrapping one.
+type pageToucher interface {
+	TouchVPN(vpn guestos.VPN, loads, stores uint64) (guestos.PFN, error)
+}
+
 // touch samples the region's distribution and issues the page touches.
 // accessesPerSample weights hot-window samples; cold-tail samples carry
 // a single access so a stray touch does not read as working-set
 // membership to the LRU. storeFrac splits loads/stores. The hot window
 // then drifts.
-func (h *heapRegion) touch(os *guestos.OS, samples int, accessesPerSample uint64, storeFrac float64) error {
-	for k := range h.counts {
-		delete(h.counts, k)
+func (h *heapRegion) touch(os pageToucher, samples int, accessesPerSample uint64, storeFrac float64) error {
+	if uint64(samples)*accessesPerSample > math.MaxUint32 {
+		return fmt.Errorf("workload: %d samples of %d accesses overflow the touch counters",
+			samples, accessesPerSample)
 	}
 	for i := 0; i < samples; i++ {
 		idx, hot := h.sample()
-		vpn := h.vma.Start + guestos.VPN(idx)
 		if hot {
-			h.counts[vpn] += accessesPerSample
+			h.counts[idx] += uint32(accessesPerSample)
 		} else {
-			h.counts[vpn]++
+			h.counts[idx]++
 		}
+		h.touched[idx/64] |= 1 << (idx % 64)
 	}
-	// Touch in sorted VPN order: map iteration order is randomized per
-	// process, and fault order decides frame assignment — unsorted
-	// iteration would make whole simulations nondeterministic.
-	vpns := make([]guestos.VPN, 0, len(h.counts))
-	for vpn := range h.counts {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
-		n := h.counts[vpn]
-		stores := uint64(float64(n) * storeFrac)
-		if _, err := os.TouchVPN(vpn, n-stores, stores); err != nil {
-			return err
+	// Touch in ascending VPN order, which walking the bitmap word by word
+	// yields without a sort: fault order decides frame assignment, so the
+	// order must be a pure function of the samples.
+	for w, word := range h.touched {
+		if word == 0 {
+			continue
+		}
+		h.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			idx := uint64(w)*64 + uint64(bits.TrailingZeros64(word))
+			n := uint64(h.counts[idx])
+			h.counts[idx] = 0
+			stores := uint64(float64(n) * storeFrac)
+			if _, err := os.TouchVPN(h.vma.Start+guestos.VPN(idx), n-stores, stores); err != nil {
+				// Leave the scratch table clean for the next call.
+				clear(h.counts)
+				clear(h.touched)
+				return err
+			}
 		}
 	}
 	h.hotStart = (h.hotStart + h.drift) % h.pages

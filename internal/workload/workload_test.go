@@ -1,12 +1,16 @@
 package workload
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
 	"heteroos/internal/sim"
+	"heteroos/internal/snapshot"
 )
 
 // testSource backs a guest with ample frames of both tiers.
@@ -217,16 +221,142 @@ func mustHeapRegion(t *testing.T, os *guestos.OS, pages, hot uint64, frac float6
 	return r
 }
 
+// touchedSet runs one touch of r and returns the VPNs it issued.
 func touchedSet(t *testing.T, os *guestos.OS, r *heapRegion) map[guestos.VPN]bool {
 	t.Helper()
-	if err := r.touch(os, 200, 2, 0); err != nil {
+	rec := &touchRecorder{os: os}
+	if err := r.touch(rec, 200, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[guestos.VPN]bool, len(r.counts))
-	for vpn := range r.counts {
-		out[vpn] = true
+	out := make(map[guestos.VPN]bool, len(rec.touches))
+	for _, tc := range rec.touches {
+		out[tc.vpn] = true
 	}
 	return out
+}
+
+// touchRec is one TouchVPN call.
+type touchRec struct {
+	vpn           guestos.VPN
+	loads, stores uint64
+}
+
+// touchRecorder logs every touch it forwards to the guest.
+type touchRecorder struct {
+	os      *guestos.OS
+	touches []touchRec
+}
+
+func (r *touchRecorder) TouchVPN(vpn guestos.VPN, loads, stores uint64) (guestos.PFN, error) {
+	r.touches = append(r.touches, touchRec{vpn, loads, stores})
+	return r.os.TouchVPN(vpn, loads, stores)
+}
+
+// touchRef is the map-and-sort touch generator the dense counter table
+// replaced, kept as the oracle for its issue order and counts.
+func touchRef(h *heapRegion, os pageToucher, samples int, accessesPerSample uint64, storeFrac float64) error {
+	counts := make(map[guestos.VPN]uint64)
+	for i := 0; i < samples; i++ {
+		idx, hot := h.sample()
+		vpn := h.vma.Start + guestos.VPN(idx)
+		if hot {
+			counts[vpn] += accessesPerSample
+		} else {
+			counts[vpn]++
+		}
+	}
+	vpns := make([]guestos.VPN, 0, len(counts))
+	for vpn := range counts {
+		vpns = append(vpns, vpn)
+	}
+	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	for _, vpn := range vpns {
+		n := counts[vpn]
+		stores := uint64(float64(n) * storeFrac)
+		if _, err := os.TouchVPN(vpn, n-stores, stores); err != nil {
+			return err
+		}
+	}
+	h.hotStart = (h.hotStart + h.drift) % h.pages
+	return nil
+}
+
+// TestTouchMatchesMapSortOracle pins the dense counter table to the
+// map-and-sort generator: the same (VPN, loads, stores) sequence, call
+// after call, across seeds, region shapes, hot fractions, drifts and
+// store fractions.
+func TestTouchMatchesMapSortOracle(t *testing.T) {
+	type shape struct {
+		pages, hot uint64
+		frac       float64
+	}
+	shapes := []shape{
+		{1000, 100, 0.9},
+		{777, 50, 0.5},  // not a multiple of the bitmap word
+		{64, 64, 1.0},   // the whole region is hot
+		{4097, 1, 0.0},  // cold tail only
+		{300, 299, 0.8}, // one cold page
+	}
+	for _, seed := range []uint64{1, 7, 99} {
+		// One guest pair per seed, a fresh region pair per case.
+		gotOS, wantOS := bootOS(t), bootOS(t)
+		for _, sh := range shapes {
+			for _, drift := range []uint64{0, 13, 250} {
+				for _, storeFrac := range []float64{0, 0.2, 0.9} {
+					got := &touchRecorder{os: gotOS}
+					want := &touchRecorder{os: wantOS}
+					dense := mustSeededRegion(t, got.os, seed, sh.pages, sh.hot, sh.frac)
+					ref := mustSeededRegion(t, want.os, seed, sh.pages, sh.hot, sh.frac)
+					dense.setDrift(drift)
+					ref.setDrift(drift)
+					for call := 0; call < 4; call++ {
+						samples := 200 + 500*call
+						if err := dense.touch(got, samples, 4, storeFrac); err != nil {
+							t.Fatal(err)
+						}
+						if err := touchRef(ref, want, samples, 4, storeFrac); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !reflect.DeepEqual(got.touches, want.touches) {
+						t.Fatalf("seed %d %+v drift %d stores %.1f: touch sequence diverged from the oracle (%d vs %d touches)",
+							seed, sh, drift, storeFrac, len(got.touches), len(want.touches))
+					}
+					if dense.hotStart != ref.hotStart {
+						t.Fatalf("hot window at %d, oracle at %d", dense.hotStart, ref.hotStart)
+					}
+					for i, c := range dense.counts {
+						if c != 0 {
+							t.Fatalf("counter %d left at %d after touch", i, c)
+						}
+					}
+					for i, w := range dense.touched {
+						if w != 0 {
+							t.Fatalf("touched word %d left at %#x after touch", i, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTouchRejectsCounterOverflow checks the uint32 counter bound.
+func TestTouchRejectsCounterOverflow(t *testing.T) {
+	os := bootOS(t)
+	r := mustHeapRegion(t, os, 100, 10, 1.0)
+	if err := r.touch(os, 2, 1<<31, 0); err == nil {
+		t.Fatal("touch accepted a count past the uint32 counters")
+	}
+}
+
+func mustSeededRegion(t *testing.T, os *guestos.OS, seed, pages, hot uint64, frac float64) *heapRegion {
+	t.Helper()
+	r, err := newHeapRegion(os, sim.NewRNG(seed), pages, hot, frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestSequentialRegionWraps(t *testing.T) {
@@ -267,3 +397,43 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func newTestRNG() *sim.RNG { return sim.NewRNG(99) }
+
+// TestHeapRestoreChecksGeometry: the touch counters are sized by Init,
+// so restore must refuse a heap region snapshot of another size rather
+// than index past them, and accept one of the same geometry.
+func TestHeapRestoreChecksGeometry(t *testing.T) {
+	os := bootOS(t)
+	small := mustHeapRegion(t, os, 100, 10, 0.9)
+	big := mustHeapRegion(t, os, 200, 10, 0.9)
+	decoderOf := func(h *heapRegion) *snapshot.Decoder {
+		var buf bytes.Buffer
+		w, err := snapshot.NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Section("heap", h.snapshot); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := snapshot.Open(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := r.Section("heap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	if err := small.restore(decoderOf(big), os); err == nil {
+		t.Fatal("a 200-page heap snapshot restored into a 100-page region")
+	}
+	if err := small.restore(decoderOf(small), os); err != nil {
+		t.Fatalf("same-geometry restore: %v", err)
+	}
+	if err := small.touch(os, 500, 4, 0.5); err != nil {
+		t.Fatal(err)
+	}
+}
