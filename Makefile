@@ -174,15 +174,17 @@ backend-parity:
 check: vet build test race obs-parity scenario-smoke backend-parity \
 	snapshot-parity fuzz-smoke fleet-smoke
 
-# bench runs the ranking, scan, default-run and figure9-sweep benchmarks at
+# bench runs the ranking, scan, default-run, figure9-sweep and guest
+# page-allocator benchmarks at
 # benchstat-grade repetition: save the output before and after a change
 # and compare the two files with benchstat.
 bench:
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|DefaultRun|Obs|FleetEpochRound' \
+	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|DefaultRun|BuddySplitCoalesce|AllocatorFastPath|Obs|FleetEpochRound' \
 		-benchmem -count=5 .
 
 # bench-json regenerates the committed perf-trajectory baselines: the
-# analytic-side benchmarks (the default run among them) into
+# analytic-side benchmarks (the default run and the buddy and per-CPU
+# allocator paths among them) into
 # BENCH_analytic.json, the word-at-a-time
 # scan (with its speedup over the per-page reference path) into
 # BENCH_scan.json, the observability aggregation path (direct scope
@@ -191,10 +193,10 @@ bench:
 # barrier over its serial twin) into BENCH_fleet.json.
 bench-json:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|DefaultRun|Obs|FleetEpochRound' \
+	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|DefaultRun|BuddySplitCoalesce|AllocatorFastPath|Obs|FleetEpochRound' \
 		-benchmem -count=5 . > "$$tmp" || { cat "$$tmp"; exit 1; }; \
 	$(GO) run ./cmd/benchjson -label analytic \
-		-match 'HottestIn|ColdestIn|HotScan|SweepFigure9Workers|EpochPricingAnalytic|DefaultRun' \
+		-match 'HottestIn|ColdestIn|HotScan|SweepFigure9Workers|EpochPricingAnalytic|DefaultRun|BuddySplitCoalesce|AllocatorFastPath' \
 		< "$$tmp" > BENCH_analytic.json || exit 1; \
 	$(GO) run ./cmd/benchjson -label scan \
 		-match 'ScanNext' \

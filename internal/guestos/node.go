@@ -50,17 +50,21 @@ func newNode(tier memsim.Tier, base PFN, maxPages uint64, cpus int, hetero bool)
 	// Per-CPU lists have a single dimension here because the node itself
 	// is the memory-type dimension; the OS exposes the multi-dimensional
 	// view across nodes.
+	//
+	// The refill callback fills one per-node buffer: percpu copies the
+	// frames out before the next refill, so nothing is allocated per call.
+	var buf []uint64
 	n.PCP = percpu.New(cpus, 1, 16, 64,
 		func(_ int, cnt int) []uint64 {
-			out := make([]uint64, 0, cnt)
+			buf = buf[:0]
 			for i := 0; i < cnt; i++ {
 				p, err := n.Buddy.AllocPage()
 				if err != nil {
 					break
 				}
-				out = append(out, p)
+				buf = append(buf, p)
 			}
-			return out
+			return buf
 		},
 		func(_ int, pfns []uint64) {
 			for _, p := range pfns {

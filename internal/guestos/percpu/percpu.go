@@ -14,7 +14,9 @@ import "fmt"
 
 // Refill obtains up to n free frames of the given list dimension from
 // the backing allocator. Returning fewer than n (or none) means the
-// backing store is exhausted.
+// backing store is exhausted. Lists copies the frames out before it
+// calls Refill again, so a callback may return the same buffer each
+// time.
 type Refill func(dim int, n int) []uint64
 
 // Drain returns surplus frames of the given dimension to the backing

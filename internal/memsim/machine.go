@@ -164,6 +164,10 @@ func (m *Machine) Free(frames []MFN, o Owner) {
 // free twice. It is used by tests and is cheap enough to call from
 // experiment teardown.
 func (m *Machine) CheckInvariants() error {
+	// seen is a bitmap over every MFN, not just tier t's, so a frame on
+	// the wrong tier's list is still caught as a duplicate before it is
+	// reported as misplaced; it is cleared for each tier's list.
+	seen := make([]uint64, (len(m.owner)+63)/64)
 	for t := Tier(0); t < NumTiers; t++ {
 		if m.freeCnt[t]+m.allocCnt[t] != m.size[t] {
 			return fmt.Errorf("memsim: %v free %d + alloc %d != size %d",
@@ -173,15 +177,16 @@ func (m *Machine) CheckInvariants() error {
 			return fmt.Errorf("memsim: %v free list len %d != count %d",
 				t, len(m.free[t]), m.freeCnt[t])
 		}
-		seen := make(map[MFN]bool, len(m.free[t]))
+		clear(seen)
 		for _, mfn := range m.free[t] {
 			if m.owner[mfn] != OwnerFree {
 				return fmt.Errorf("memsim: free-list MFN %d has owner %d", mfn, m.owner[mfn])
 			}
-			if seen[mfn] {
+			w, bit := mfn/64, uint64(1)<<(mfn%64)
+			if seen[w]&bit != 0 {
 				return fmt.Errorf("memsim: MFN %d on free list twice", mfn)
 			}
-			seen[mfn] = true
+			seen[w] |= bit
 			if m.TierOf(mfn) != t {
 				return fmt.Errorf("memsim: MFN %d on wrong tier list %v", mfn, t)
 			}

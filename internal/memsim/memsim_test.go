@@ -404,3 +404,42 @@ func TestEngineAsymmetricStoreVisibility(t *testing.T) {
 		t.Fatalf("slow store latency component = %v, want %v", gotSlow, wantSlow)
 	}
 }
+
+// TestCheckInvariantsCatchesPlantedFreeListFaults plants bad entries on
+// the machine's free lists and checks each is reported, with the
+// message naming the fault.
+func TestCheckInvariantsCatchesPlantedFreeListFaults(t *testing.T) {
+	cases := []struct {
+		name  string
+		plant func(m *Machine)
+		want  string
+	}{
+		{"duplicate on its own tier", func(m *Machine) {
+			m.free[FastMem][0] = m.free[FastMem][1]
+		}, "memsim: MFN 14 on free list twice"},
+		{"duplicate on the slow tier", func(m *Machine) {
+			m.free[SlowMem][3] = m.free[SlowMem][5]
+		}, "memsim: MFN 26 on free list twice"},
+		{"slow frame on the fast list", func(m *Machine) {
+			m.free[FastMem][0], m.free[SlowMem][0] = m.free[SlowMem][0], m.free[FastMem][0]
+		}, "memsim: MFN 31 on wrong tier list FastMem"},
+		{"fast frame on both lists", func(m *Machine) {
+			m.free[SlowMem][0] = m.free[FastMem][0]
+		}, "memsim: MFN 15 on wrong tier list SlowMem"},
+		{"wrong-tier frame twice", func(m *Machine) {
+			m.free[FastMem][2] = m.free[SlowMem][0]
+			m.free[FastMem][4] = m.free[SlowMem][0]
+		}, "memsim: MFN 31 on wrong tier list FastMem"},
+	}
+	for _, c := range cases {
+		m := newTestMachine(16, 16)
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		c.plant(m)
+		err := m.CheckInvariants()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: CheckInvariants = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
