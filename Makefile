@@ -127,7 +127,9 @@ fuzz-smoke:
 # through the CLI at two worker counts and requires byte-identical
 # output — the fleet layer's determinism contract at datacenter scale
 # (boot storms, a surge wave, three host failures with mass evacuation,
-# and a 500-VM drain, all priced by the analytic backend).
+# and a 500-VM drain, all priced by the analytic backend). The output
+# must also match the committed sha256 in testdata/backend/, so a change
+# that shifts both worker counts alike still fails.
 fleet-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
@@ -139,7 +141,10 @@ fleet-smoke:
 		echo "fleet-smoke: 1k-host fleet output differs across worker counts:"; \
 		diff "$$tmp/w1.csv" "$$tmp/w4.csv" | head -20; exit 1; \
 	fi; \
-	echo "fleet-smoke: fleet-churn-1k byte-identical at 1 and 4 workers"
+	cp "$$tmp/w1.csv" "$$tmp/fleet-churn-1k.csv"; \
+	(cd "$$tmp" && sha256sum -c --quiet "$(CURDIR)/testdata/backend/fleet-churn-1k.csv.sha256") || { \
+		echo "fleet-smoke: fleet-churn-1k output drifted from testdata/backend/fleet-churn-1k.csv.sha256"; exit 1; }; \
+	echo "fleet-smoke: fleet-churn-1k byte-identical at 1 and 4 workers and to the committed sha256"
 
 # backend-parity pins the simulated outcome to committed goldens: the
 # default analytic pricing path must reproduce every committed quick
@@ -148,7 +153,9 @@ fleet-smoke:
 # access path was rewritten for speed (figures 10-12 run HeteroOS-LRU
 # reclaim over mixed anonymous and page-cache LRU lists). So any drift
 # in pricing, placement or reclaim decisions fails the gate. figure13
-# is left out: it takes about half a minute.
+# is left out: it takes about half a minute. The small bundled fleet
+# script (fleet-churn.json: live migration, evacuation, surge) is pinned
+# the same way; the 1k-host script is pinned by hash in fleet-smoke.
 BACKEND_GOLDENS = figure1 figure2 figure3 figure4 figure6 figure7 figure8 \
 	figure9 figure10 figure11 figure12
 
@@ -163,7 +170,13 @@ backend-parity:
 			diff "$$want" "$$got"; exit 1; \
 		fi; \
 	done; \
-	echo "backend-parity: $(words $(BACKEND_GOLDENS)) quick figures byte-identical to committed goldens"
+	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
+	"$$tmp/heterosim" -fleet fleet-churn.json -format=csv > "$$tmp/fleet-churn.csv" || exit 1; \
+	if ! cmp -s testdata/backend/fleet-churn.csv "$$tmp/fleet-churn.csv"; then \
+		echo "backend-parity: fleet-churn.json output drifted from testdata/backend/fleet-churn.csv:"; \
+		diff testdata/backend/fleet-churn.csv "$$tmp/fleet-churn.csv"; exit 1; \
+	fi; \
+	echo "backend-parity: $(words $(BACKEND_GOLDENS)) quick figures and fleet-churn.json byte-identical to committed goldens"
 
 # check is the pre-commit gate: static analysis and formatting, full
 # build, the full test suite, the race detector over the concurrent
@@ -174,17 +187,17 @@ backend-parity:
 check: vet build test race obs-parity scenario-smoke backend-parity \
 	snapshot-parity fuzz-smoke fleet-smoke
 
-# bench runs the ranking, scan, default-run, figure9-sweep and guest
-# page-allocator benchmarks at
+# bench runs the ranking, scan, default-run, figure9-sweep, guest
+# page-allocator and checkpoint-encoder benchmarks at
 # benchstat-grade repetition: save the output before and after a change
 # and compare the two files with benchstat.
 bench:
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|DefaultRun|BuddySplitCoalesce|AllocatorFastPath|Obs|FleetEpochRound' \
+	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|DefaultRun|BuddySplitCoalesce|AllocatorFastPath|Checkpoint|Obs|FleetEpochRound' \
 		-benchmem -count=5 .
 
 # bench-json regenerates the committed perf-trajectory baselines: the
-# analytic-side benchmarks (the default run and the buddy and per-CPU
-# allocator paths among them) into
+# analytic-side benchmarks (the default run, the buddy and per-CPU
+# allocator paths and the checkpoint encoder among them) into
 # BENCH_analytic.json, the word-at-a-time
 # scan (with its speedup over the per-page reference path) into
 # BENCH_scan.json, the observability aggregation path (direct scope
@@ -193,10 +206,10 @@ bench:
 # barrier over its serial twin) into BENCH_fleet.json.
 bench-json:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|DefaultRun|BuddySplitCoalesce|AllocatorFastPath|Obs|FleetEpochRound' \
+	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|DefaultRun|BuddySplitCoalesce|AllocatorFastPath|Checkpoint|Obs|FleetEpochRound' \
 		-benchmem -count=5 . > "$$tmp" || { cat "$$tmp"; exit 1; }; \
 	$(GO) run ./cmd/benchjson -label analytic \
-		-match 'HottestIn|ColdestIn|HotScan|SweepFigure9Workers|EpochPricingAnalytic|DefaultRun|BuddySplitCoalesce|AllocatorFastPath' \
+		-match 'HottestIn|ColdestIn|HotScan|SweepFigure9Workers|EpochPricingAnalytic|DefaultRun|BuddySplitCoalesce|AllocatorFastPath|Checkpoint' \
 		< "$$tmp" > BENCH_analytic.json || exit 1; \
 	$(GO) run ./cmd/benchjson -label scan \
 		-match 'ScanNext' \

@@ -27,6 +27,7 @@ import (
 	"heteroos/internal/obs"
 	"heteroos/internal/policy"
 	"heteroos/internal/runner"
+	"heteroos/internal/scenario"
 	"heteroos/internal/sim"
 	"heteroos/internal/vmm"
 	"heteroos/internal/workload"
@@ -808,3 +809,40 @@ func benchFleetEpochRound(b *testing.B, workers int) {
 // expensive.
 func BenchmarkFleetEpochRound(b *testing.B)         { benchFleetEpochRound(b, runtime.GOMAXPROCS(0)) }
 func BenchmarkFleetEpochRoundWorkers1(b *testing.B) { benchFleetEpochRound(b, 1) }
+
+// --- Snapshot codec ---
+
+// countWriter counts the bytes written through it.
+type countWriter int64
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	*c += countWriter(len(p))
+	return len(p), nil
+}
+
+// BenchmarkCheckpoint serializes one scenario System — the bundled
+// churn script stopped at epoch 24, with three VMs live — to
+// io.Discard. MB/s is checkpoint throughput; B/op and allocs/op are
+// what one checkpoint costs the heap on top of the bytes it writes.
+func BenchmarkCheckpoint(b *testing.B) {
+	sc, err := scenario.LoadBundled("churn.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sc.WithMaxEpochs(24).Run(context.Background(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size countWriter
+	if err := res.Sys.Checkpoint(&size, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := res.Sys.Checkpoint(io.Discard, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

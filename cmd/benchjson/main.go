@@ -66,9 +66,10 @@ type baseline struct {
 }
 
 // benchLine matches "BenchmarkX-8  1000  123.4 ns/op  0 B/op  0 allocs/op"
-// (the -benchmem columns are optional).
+// (the -benchmem columns are optional, and an MB/s column from
+// b.SetBytes may sit between ns/op and B/op).
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
 func main() {
 	label := flag.String("label", "", "baseline label (e.g. the backend name)")

@@ -320,13 +320,12 @@ func runRestore(path string, ck scenario.CheckpointOptions, closeBackend func() 
 	// Open and verify the snapshot up front so an unreadable or corrupt
 	// checkpoint reports as bad input (exit 2), exactly like an
 	// unloadable -scenario file; only the resumed run itself can exit 3.
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "heterosim:", err)
 		os.Exit(2)
 	}
-	rd, err := snapshot.Open(f)
-	f.Close()
+	rd, err := snapshot.OpenBytes(raw)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "heterosim: restore %s: %v\n", path, err)
 		os.Exit(2)

@@ -249,7 +249,7 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 		return nil, fmt.Errorf("core: ImmigrateVM: workload %T on VM %d does not support migration", vc.Workload, vc.ID)
 	}
 
-	r, err := snapshot.Open(bytes.NewReader(img.Data))
+	r, err := snapshot.OpenBytes(img.Data)
 	if err != nil {
 		return nil, fmt.Errorf("core: ImmigrateVM VM %d: %w", vc.ID, err)
 	}

@@ -68,7 +68,8 @@ func (o *OS) faultIn(vpn VPN, fromSwap bool) (PFN, error) {
 
 	case KindPageCache:
 		off := uint64(vpn - v.Start)
-		res := o.PC.Read(v.File, off, 1)
+		res := o.PC.Read(v.File, off, 1, o.ioBuf)
+		o.ioBuf = res.Touched
 		o.chargeIO(pagecacheResult{res.Touched, res.DiskPages, res.AllocFailed}, false)
 		pfn, ok := o.PC.Lookup(v.File, off)
 		if !ok {
@@ -172,7 +173,8 @@ type pagecacheResult struct {
 // the tier of each cache page.
 func (o *OS) FileRead(file FileID, off uint64, n int) {
 	o.ep.OSTimeNs += o.costs.SyscallNs
-	res := o.PC.Read(file, off, n)
+	res := o.PC.Read(file, off, n, o.ioBuf)
+	o.ioBuf = res.Touched
 	o.tagCachePages(file, res.Touched)
 	o.chargeIO(pagecacheResult{res.Touched, res.DiskPages, res.AllocFailed}, false)
 }
@@ -181,7 +183,8 @@ func (o *OS) FileRead(file FileID, off uint64, n int) {
 // cache (writeback caching).
 func (o *OS) FileWrite(file FileID, off uint64, n int) {
 	o.ep.OSTimeNs += o.costs.SyscallNs
-	res := o.PC.Write(file, off, n)
+	res := o.PC.Write(file, off, n, o.ioBuf)
+	o.ioBuf = res.Touched
 	o.tagCachePages(file, res.Touched)
 	o.chargeIO(pagecacheResult{res.Touched, res.DiskPages, res.AllocFailed}, true)
 }

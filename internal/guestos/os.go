@@ -164,6 +164,12 @@ type OS struct {
 	trackValid bool
 	// balanceBuf backs the LRU Balance calls in EndEpoch and reclaim.
 	balanceBuf []PFN
+	// ioBuf is the page cache's Touched buffer for every Read and
+	// Write, so file I/O allocates nothing for it in steady state.
+	ioBuf []uint64
+	// snapBuf backs snapshotStore's populated-PFN list, so repeated
+	// checkpoints of one OS allocate nothing for it.
+	snapBuf []PFN
 
 	epoch      uint32
 	ep         EpochStats

@@ -906,3 +906,14 @@ func TestTrackingListMatchesTranslate(t *testing.T) {
 		t.Fatal("fixture swapped nothing out")
 	}
 }
+
+// TestFileReadAllHitZeroAllocs: once a file range is cached, reading it
+// again through the OS reuses the OS's page-cache buffer and allocates
+// nothing.
+func TestFileReadAllHitZeroAllocs(t *testing.T) {
+	os, _ := testOS(t, heapIOSlabODPlacement(), 1024, 4096, 512, 1024)
+	os.FileRead(7, 0, 16)
+	if a := testing.AllocsPerRun(100, func() { os.FileRead(7, 0, 16) }); a != 0 {
+		t.Fatalf("all-hit FileRead allocated %.1f times per call", a)
+	}
+}

@@ -64,6 +64,8 @@ func New(alloc AllocPage, free FreePage) *Cache {
 // ReadResult reports the outcome of a Read or Write.
 type ReadResult struct {
 	// Touched lists the frames servicing the request, in offset order.
+	// It is the caller's buffer refilled from length 0, so it stays
+	// valid only until that buffer is passed to Read or Write again.
 	Touched []uint64
 	// DiskPages is how many pages had to come from (or be reserved for)
 	// the backing store — the caller charges disk latency for them.
@@ -92,9 +94,12 @@ func (c *Cache) insert(file FileID, off uint64, pfn uint64) {
 // Read services a read of n pages of file starting at page offset off.
 // Missing pages are allocated and "read from disk"; a miss additionally
 // pulls in the readahead window beyond the requested range (sequential
-// readahead), which is what gives the cache its prefetch benefit.
-func (c *Cache) Read(file FileID, off uint64, n int) ReadResult {
-	var res ReadResult
+// readahead), which is what gives the cache its prefetch benefit. The
+// touched frames are appended to buf[:0] (buf may be nil), so a caller
+// that keeps the returned Touched as its next buf reads without
+// allocating.
+func (c *Cache) Read(file FileID, off uint64, n int, buf []uint64) ReadResult {
+	res := ReadResult{Touched: buf[:0]}
 	missed := false
 	for i := 0; i < n; i++ {
 		pfn, ok := c.Lookup(file, off+uint64(i))
@@ -136,9 +141,9 @@ func (c *Cache) Read(file FileID, off uint64, n int) ReadResult {
 
 // Write services a write of n pages of file starting at page offset off.
 // Pages are cached and marked dirty; writeback happens asynchronously
-// via Writeback.
-func (c *Cache) Write(file FileID, off uint64, n int) ReadResult {
-	var res ReadResult
+// via Writeback. Touched is filled into buf as for Read.
+func (c *Cache) Write(file FileID, off uint64, n int, buf []uint64) ReadResult {
+	res := ReadResult{Touched: buf[:0]}
 	for i := 0; i < n; i++ {
 		o := off + uint64(i)
 		pfn, ok := c.Lookup(file, o)

@@ -37,11 +37,11 @@ func TestReadMissThenHit(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 0
-	r1 := c.Read(1, 0, 4)
+	r1 := c.Read(1, 0, 4, nil)
 	if r1.DiskPages != 4 || len(r1.Touched) != 4 {
 		t.Fatalf("first read: disk=%d touched=%d", r1.DiskPages, len(r1.Touched))
 	}
-	r2 := c.Read(1, 0, 4)
+	r2 := c.Read(1, 0, 4, nil)
 	if r2.DiskPages != 0 {
 		t.Fatalf("second read hit disk: %d", r2.DiskPages)
 	}
@@ -58,13 +58,13 @@ func TestReadahead(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 8
-	r := c.Read(1, 0, 2)
+	r := c.Read(1, 0, 2, nil)
 	// 2 demand pages + 8 readahead pages.
 	if r.DiskPages != 10 {
 		t.Fatalf("disk pages = %d, want 10", r.DiskPages)
 	}
 	// Sequential follow-up is fully cached.
-	r2 := c.Read(1, 2, 8)
+	r2 := c.Read(1, 2, 8, nil)
 	if r2.DiskPages != 0 {
 		t.Fatalf("readahead did not absorb sequential read: %d", r2.DiskPages)
 	}
@@ -74,9 +74,9 @@ func TestReadaheadStopsAtCachedPage(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 8
-	c.Read(1, 4, 1) // caches 4..12
+	c.Read(1, 4, 1, nil) // caches 4..12
 	before := c.Pages()
-	c.Read(1, 0, 2) // readahead from 2 hits page 4 and stops
+	c.Read(1, 0, 2, nil) // readahead from 2 hits page 4 and stops
 	added := c.Pages() - before
 	if added != 4 { // pages 0,1 demand + 2,3 readahead
 		t.Fatalf("added %d pages, want 4", added)
@@ -87,7 +87,7 @@ func TestWriteMarksDirtyAndWriteback(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 0
-	w := c.Write(2, 10, 3)
+	w := c.Write(2, 10, 3, nil)
 	if len(w.Touched) != 3 {
 		t.Fatalf("touched = %d", len(w.Touched))
 	}
@@ -115,8 +115,8 @@ func TestWriteMarksDirtyAndWriteback(t *testing.T) {
 func TestRewriteDoesNotDoubleDirty(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
-	c.Write(1, 0, 1)
-	c.Write(1, 0, 1)
+	c.Write(1, 0, 1, nil)
+	c.Write(1, 0, 1, nil)
 	if c.DirtyCount() != 1 {
 		t.Fatalf("dirty = %d, want 1", c.DirtyCount())
 	}
@@ -126,8 +126,8 @@ func TestEvictCleanAndDirty(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 0
-	r := c.Read(1, 0, 1)
-	w := c.Write(1, 5, 1)
+	r := c.Read(1, 0, 1, nil)
+	w := c.Write(1, 5, 1, nil)
 	clean, dirty := r.Touched[0], w.Touched[0]
 	if wb := c.Evict(clean); wb {
 		t.Fatal("clean evict reported writeback")
@@ -161,7 +161,7 @@ func TestAllocFailureFallsBackToDirectIO(t *testing.T) {
 	p := newFramePool(2)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 4
-	r := c.Read(1, 0, 4)
+	r := c.Read(1, 0, 4, nil)
 	// 2 pages cached; 2 uncached direct reads; readahead silently stops.
 	if r.AllocFailed != 2 {
 		t.Fatalf("alloc failed = %d, want 2", r.AllocFailed)
@@ -169,7 +169,7 @@ func TestAllocFailureFallsBackToDirectIO(t *testing.T) {
 	if r.DiskPages != 4 {
 		t.Fatalf("disk pages = %d, want 4", r.DiskPages)
 	}
-	w := c.Write(1, 100, 1)
+	w := c.Write(1, 100, 1, nil)
 	if w.AllocFailed != 1 || w.DiskPages != 1 {
 		t.Fatalf("write fallback wrong: %+v", w)
 	}
@@ -179,9 +179,9 @@ func TestInvalidateFile(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 0
-	c.Read(1, 0, 5)
-	c.Write(1, 2, 1)
-	c.Read(2, 0, 3)
+	c.Read(1, 0, 5, nil)
+	c.Write(1, 2, 1, nil)
+	c.Read(2, 0, 3, nil)
 	n := c.InvalidateFile(1)
 	if n != 5 {
 		t.Fatalf("invalidated %d, want 5", n)
@@ -201,7 +201,7 @@ func TestIdentityAndOwns(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 0
-	r := c.Read(7, 123, 1)
+	r := c.Read(7, 123, 1, nil)
 	pfn := r.Touched[0]
 	if !c.Owns(pfn) {
 		t.Fatal("Owns false for cached frame")
@@ -227,9 +227,9 @@ func TestCacheInvariantProperty(t *testing.T) {
 			off := uint64(op >> 4 % 32)
 			switch op % 4 {
 			case 0:
-				c.Read(file, off, int(op%5)+1)
+				c.Read(file, off, int(op%5)+1, nil)
 			case 1:
-				c.Write(file, off, int(op%5)+1)
+				c.Write(file, off, int(op%5)+1, nil)
 			case 2:
 				c.Writeback(int(op % 8))
 			case 3:
@@ -254,7 +254,7 @@ func TestRekeyPreservesIdentityAndDirty(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 0
-	w := c.Write(3, 9, 1)
+	w := c.Write(3, 9, 1, nil)
 	old := w.Touched[0]
 	c.Rekey(old, 777)
 	if c.Owns(old) {
@@ -279,7 +279,7 @@ func TestRekeyPanics(t *testing.T) {
 	p := newFramePool(0)
 	c := New(p.alloc, p.free)
 	c.ReadaheadWindow = 0
-	r := c.Read(1, 0, 2)
+	r := c.Read(1, 0, 2, nil)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -296,4 +296,26 @@ func TestRekeyPanics(t *testing.T) {
 		}()
 		c.Rekey(r.Touched[0], r.Touched[1])
 	}()
+}
+
+// TestReadWriteReuseBuffer: a read or write that hits every page fills
+// the caller's buffer and allocates nothing, and the buffer holds the
+// same frames a fresh one would.
+func TestReadWriteReuseBuffer(t *testing.T) {
+	p := newFramePool(0)
+	c := New(p.alloc, p.free)
+	first := c.Read(1, 0, 8, nil) // misses pull in readahead too
+	want := append([]uint64(nil), first.Touched[:8]...)
+	buf := make([]uint64, 0, 8)
+	if a := testing.AllocsPerRun(100, func() { buf = c.Read(1, 0, 8, buf).Touched }); a != 0 {
+		t.Fatalf("all-hit Read allocated %.1f times per call", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { buf = c.Write(1, 0, 8, buf).Touched }); a != 0 {
+		t.Fatalf("all-hit Write allocated %.1f times per call", a)
+	}
+	for i, pfn := range buf {
+		if pfn != want[i] {
+			t.Fatalf("Touched[%d] = %d through a reused buffer, want %d", i, pfn, want[i])
+		}
+	}
 }

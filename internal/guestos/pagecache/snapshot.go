@@ -1,7 +1,7 @@
 package pagecache
 
 import (
-	"sort"
+	"slices"
 
 	"heteroos/internal/snapshot"
 )
@@ -19,7 +19,8 @@ func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	for pfn := range c.rmap {
 		pfns = append(pfns, pfn)
 	}
-	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
+	slices.Sort(pfns)
+	e.Grow(4 + 21*len(pfns))
 	e.U32(uint32(len(pfns)))
 	for _, pfn := range pfns {
 		m := c.rmap[pfn]

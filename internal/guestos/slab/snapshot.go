@@ -2,7 +2,7 @@ package slab
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"heteroos/internal/snapshot"
 )
@@ -23,7 +23,7 @@ func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	for b := range c.slabs {
 		bases = append(bases, b)
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	slices.Sort(bases)
 	e.U32(uint32(len(bases)))
 	for _, b := range bases {
 		s := c.slabs[b]

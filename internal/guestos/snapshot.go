@@ -2,6 +2,7 @@ package guestos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"heteroos/internal/guestos/slab"
@@ -21,10 +22,10 @@ func (o *OS) SnapshotState(e *snapshot.Encoder) {
 		e.U64(s)
 	}
 	e.U32(o.epoch)
-	e.JSON(o.ep)
-	e.JSON(o.Cum)
-	e.JSON(o.Window)
-	e.JSON(o.WindowLife)
+	e.JSON(&o.ep)
+	e.JSON(&o.Cum)
+	e.JSON(&o.Window)
+	e.JSON(&o.WindowLife)
 
 	o.snapshotStore(e)
 
@@ -67,7 +68,7 @@ func (o *OS) SnapshotState(e *snapshot.Encoder) {
 	for vpn := range o.swap.slots {
 		vpns = append(vpns, uint64(vpn))
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
 	e.U32(uint32(len(vpns)))
 	for _, vpn := range vpns {
 		e.U64(vpn)
@@ -242,12 +243,15 @@ func restoreRing(d *snapshot.Decoder) []admitSample {
 func (o *OS) snapshotStore(e *snapshot.Encoder) {
 	st := o.store
 	e.U64(st.Len())
-	pfns := make([]PFN, 0, 1024)
+	pfns := o.snapBuf[:0]
 	for pfn := PFN(0); pfn < PFN(st.Len()); pfn++ {
 		if !st.IsDefault(pfn) {
 			pfns = append(pfns, pfn)
 		}
 	}
+	o.snapBuf = pfns
+	// Each populated page costs 73 bytes over the fourteen columns.
+	e.Grow(4 + 73*len(pfns))
 	e.U32(uint32(len(pfns)))
 	for _, pfn := range pfns {
 		e.U64(uint64(pfn))

@@ -15,19 +15,21 @@ func (m *Machine) Snapshot(e *snapshot.Encoder) {
 	for t := Tier(0); t < NumTiers; t++ {
 		e.U64(uint64(m.base[t]))
 		e.U64(m.size[t])
-		e.JSON(m.spec[t])
+		e.JSON(&m.spec[t])
 	}
 	e.U64(m.specGen)
+	e.Grow(4 + 4*len(m.owner))
 	e.U32(uint32(len(m.owner)))
 	for _, o := range m.owner {
 		e.U32(uint32(o))
 	}
 	for t := Tier(0); t < NumTiers; t++ {
-		free := make([]uint64, len(m.free[t]))
-		for i, mfn := range m.free[t] {
-			free[i] = uint64(mfn)
+		// The same bytes as U64s over the list as []uint64.
+		e.Grow(4 + 8*len(m.free[t]) + 16)
+		e.U32(uint32(len(m.free[t])))
+		for _, mfn := range m.free[t] {
+			e.U64(uint64(mfn))
 		}
-		e.U64s(free)
 		e.U64(m.freeCnt[t])
 		e.U64(m.allocCnt[t])
 	}

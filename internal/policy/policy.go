@@ -233,12 +233,16 @@ func All() []Mode {
 	}
 }
 
+// catalog is All built once for ByName. Mode holds no references, so
+// each lookup returns an independent copy.
+var catalog = All()
+
 // ByName looks a mode up by its Table 5 / baseline name. Unknown names
 // return an error wrapping ErrUnknownMode, mirroring workload.ByName.
 func ByName(name string) (Mode, error) {
-	for _, m := range All() {
-		if m.Name == name {
-			return m, nil
+	for i := range catalog {
+		if catalog[i].Name == name {
+			return catalog[i], nil
 		}
 	}
 	return Mode{}, fmt.Errorf("%w %q", ErrUnknownMode, name)

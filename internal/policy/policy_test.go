@@ -39,6 +39,21 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameNoAllocs: a known name resolves without allocating, and the
+// returned Mode is a copy a caller may change freely.
+func TestByNameNoAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { _, _ = ByName("HeteroOS-coordinated") }); a != 0 {
+		t.Fatalf("ByName allocated %.1f times per lookup", a)
+	}
+	m, _ := ByName("Heap-OD")
+	m.Placement.FastKinds[guestos.KindPageCache] = true
+	m.Name = "changed"
+	again, err := ByName("Heap-OD")
+	if err != nil || again != HeapOD() {
+		t.Fatalf("changing a looked-up Mode leaked into the catalog: %+v, %v", again, err)
+	}
+}
+
 func TestTable5Order(t *testing.T) {
 	rows := Table5()
 	want := []string{"Heap-OD", "Heap-IO-Slab-OD", "HeteroOS-LRU", "HeteroOS-coordinated"}

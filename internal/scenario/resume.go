@@ -174,14 +174,13 @@ func Resume(ctx context.Context, rd *snapshot.Reader, h *obs.Obs, ck CheckpointO
 	return st.loop(ctx, meta.Epoch, actions[meta.Consumed:], meta.Fired)
 }
 
-// ResumeFile opens a checkpoint file and resumes it.
+// ResumeFile reads a checkpoint file and resumes it.
 func ResumeFile(ctx context.Context, path string, h *obs.Obs, ck CheckpointOptions) (*Result, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: resume: %w", err)
 	}
-	defer f.Close()
-	rd, err := snapshot.Open(f)
+	rd, err := snapshot.OpenBytes(raw)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: resume %s: %w", path, err)
 	}

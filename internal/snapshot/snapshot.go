@@ -33,6 +33,8 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Version is the current snapshot format version. Readers reject any
@@ -72,15 +74,21 @@ const (
 
 // --- Encoder ---
 
-// Encoder serializes primitives into a growing buffer. Errors are
-// impossible on the write side (bytes.Buffer), so methods return
-// nothing; the symmetry with Decoder is in the call shapes.
+// Encoder serializes primitives by appending to a byte slice. Errors
+// are impossible on the write side, so methods return nothing; the
+// symmetry with Decoder is in the call shapes. Writer.Section hands
+// each section builder an Encoder whose buffer already holds the
+// section's name and length prefix.
 type Encoder struct {
-	buf bytes.Buffer
+	buf []byte
 }
 
+// Grow makes room for at least n more bytes, so a writer that knows
+// its size up front grows the buffer once instead of by doubling.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
 // U8 writes one byte.
-func (e *Encoder) U8(v uint8) { e.buf.WriteByte(v) }
+func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
 // Bool writes a bool as one byte.
 func (e *Encoder) Bool(v bool) {
@@ -92,25 +100,13 @@ func (e *Encoder) Bool(v bool) {
 }
 
 // U16 writes a little-endian uint16.
-func (e *Encoder) U16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	e.buf.Write(b[:])
-}
+func (e *Encoder) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 
 // U32 writes a little-endian uint32.
-func (e *Encoder) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.buf.Write(b[:])
-}
+func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
 // U64 writes a little-endian uint64.
-func (e *Encoder) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf.Write(b[:])
-}
+func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
 // I64 writes a little-endian int64.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
@@ -124,14 +120,18 @@ func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 // Bytes writes a length-prefixed byte slice.
 func (e *Encoder) Bytes(b []byte) {
 	e.U32(uint32(len(b)))
-	e.buf.Write(b)
+	e.buf = append(e.buf, b...)
 }
 
 // Str writes a length-prefixed string.
-func (e *Encoder) Str(s string) { e.Bytes([]byte(s)) }
+func (e *Encoder) Str(s string) {
+	e.U32(uint32(len(s)))
+	e.buf = append(e.buf, s...)
+}
 
 // U64s writes a length-prefixed slice of uint64 in order.
 func (e *Encoder) U64s(vs []uint64) {
+	e.Grow(4 + 8*len(vs))
 	e.U32(uint32(len(vs)))
 	for _, v := range vs {
 		e.U64(v)
@@ -140,6 +140,7 @@ func (e *Encoder) U64s(vs []uint64) {
 
 // F64s writes a length-prefixed slice of float64 in order.
 func (e *Encoder) F64s(vs []float64) {
+	e.Grow(4 + 8*len(vs))
 	e.U32(uint32(len(vs)))
 	for _, v := range vs {
 		e.F64(v)
@@ -148,14 +149,28 @@ func (e *Encoder) F64s(vs []float64) {
 
 // JSON writes a value through encoding/json (used for plain exported
 // stat structs where field-by-field encoding would be noise; Go's
-// shortest-float marshalling round-trips float64 exactly).
+// shortest-float marshalling round-trips float64 exactly). The bytes
+// are json.Marshal's, length-prefixed as by Bytes, but encoded straight
+// into the buffer rather than through a copy. Pass structs by pointer:
+// a struct value is copied to the heap to become an interface.
 func (e *Encoder) JSON(v interface{}) error {
-	b, err := json.Marshal(v)
-	if err != nil {
+	lenAt := len(e.buf)
+	e.U32(0) // length, patched below
+	if err := json.NewEncoder((*appendWriter)(e)).Encode(v); err != nil {
+		e.buf = e.buf[:lenAt]
 		return err
 	}
-	e.Bytes(b)
+	e.buf = e.buf[:len(e.buf)-1] // Encode ends the value with a newline
+	binary.LittleEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4))
 	return nil
+}
+
+// appendWriter lets encoding/json append to an Encoder's buffer.
+type appendWriter Encoder
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
 }
 
 // --- Decoder ---
@@ -261,7 +276,7 @@ func (d *Decoder) Bytes() []byte {
 }
 
 // Str reads a length-prefixed string.
-func (d *Decoder) Str() string { return string(d.Bytes()) }
+func (d *Decoder) Str() string { return string(d.take(d.Len())) }
 
 // U64s reads a length-prefixed []uint64.
 func (d *Decoder) U64s() []uint64 {
@@ -291,7 +306,7 @@ func (d *Decoder) F64s() []float64 {
 
 // JSON decodes a JSON-encoded value written by Encoder.JSON.
 func (d *Decoder) JSON(v interface{}) error {
-	b := d.Bytes()
+	b := d.take(d.Len())
 	if d.err != nil {
 		return d.err
 	}
@@ -308,32 +323,27 @@ type Writer struct {
 	closed bool
 }
 
+// sectionBufs recycles section buffers. A Writer takes one for the
+// duration of a Section call only, so concurrent writers (parallel
+// fleet hosts) never share one, and no Writer or System keeps a
+// checkpoint-sized buffer alive between checkpoints.
+var sectionBufs = sync.Pool{New: func() any { return new(Encoder) }}
+
 // NewWriter writes the header and returns a section writer.
 func NewWriter(w io.Writer) (*Writer, error) {
-	sw := &Writer{w: w}
-	if _, err := w.Write(magic[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: writing magic: %w", err)
+	var hdr [len(magic) + 4]byte
+	copy(hdr[:], magic[:])
+	binary.LittleEndian.PutUint32(hdr[len(magic):], Version)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return nil, fmt.Errorf("snapshot: writing header: %w", err)
 	}
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], Version)
-	if _, err := w.Write(v[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: writing version: %w", err)
-	}
-	return sw, nil
-}
-
-func (w *Writer) writeRaw(b []byte) {
-	if w.err != nil {
-		return
-	}
-	w.crc = crc64.Update(w.crc, crcTable, b)
-	if _, err := w.w.Write(b); err != nil {
-		w.err = err
-	}
+	return &Writer{w: w}, nil
 }
 
 // Section emits one named section built by fn. Names must be unique
 // per snapshot (the reader keeps the last on duplicates) and non-empty.
+// The name, length prefix and body are assembled in one pooled buffer
+// and go out in a single Write.
 func (w *Writer) Section(name string, fn func(*Encoder)) error {
 	if w.err != nil {
 		return w.err
@@ -344,22 +354,23 @@ func (w *Writer) Section(name string, fn func(*Encoder)) error {
 	if name == "" || len(name) > maxNameBytes {
 		return fmt.Errorf("snapshot: invalid section name %q", name)
 	}
-	var e Encoder
-	fn(&e)
-	body := e.buf.Bytes()
-	if len(body) > maxSectionBytes {
-		return fmt.Errorf("snapshot: section %q too large (%d bytes)", name, len(body))
+	e := sectionBufs.Get().(*Encoder)
+	defer sectionBufs.Put(e)
+	e.buf = e.buf[:0]
+	e.U16(uint16(len(name)))
+	e.buf = append(e.buf, name...)
+	lenAt := len(e.buf)
+	e.U32(0) // body length, patched below
+	fn(e)
+	bodyLen := len(e.buf) - lenAt - 4
+	if bodyLen > maxSectionBytes {
+		return fmt.Errorf("snapshot: section %q too large (%d bytes)", name, bodyLen)
 	}
-	var hdr [2]byte
-	binary.LittleEndian.PutUint16(hdr[:], uint16(len(name)))
-	w.writeRaw(hdr[:])
-	w.writeRaw([]byte(name))
-	var blen [4]byte
-	binary.LittleEndian.PutUint32(blen[:], uint32(len(body)))
-	w.writeRaw(blen[:])
-	w.writeRaw(body)
-	if w.err != nil {
-		return fmt.Errorf("snapshot: writing section %q: %w", name, w.err)
+	binary.LittleEndian.PutUint32(e.buf[lenAt:], uint32(bodyLen))
+	w.crc = crc64.Update(w.crc, crcTable, e.buf)
+	if _, err := w.w.Write(e.buf); err != nil {
+		w.err = err
+		return fmt.Errorf("snapshot: writing section %q: %w", name, err)
 	}
 	return nil
 }
@@ -390,13 +401,20 @@ type Reader struct {
 	order    []string
 }
 
-// Open reads an entire snapshot, verifying magic, version, and the
-// CRC64 trailer before returning.
+// Open reads an entire snapshot from r and parses it with OpenBytes.
 func Open(r io.Reader) (*Reader, error) {
 	all, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading: %w", err)
 	}
+	return OpenBytes(all)
+}
+
+// OpenBytes parses a snapshot held in memory, verifying magic, version,
+// and the CRC64 trailer before returning. The Reader's sections alias
+// all (nothing is copied), so all must not be modified while the
+// Reader or any Decoder from it is in use.
+func OpenBytes(all []byte) (*Reader, error) {
 	if len(all) < len(magic)+4 {
 		return nil, fmt.Errorf("snapshot: file too short (%d bytes)", len(all))
 	}

@@ -228,7 +228,7 @@ func TestDecoderStickyError(t *testing.T) {
 func TestDecoderImplausibleLength(t *testing.T) {
 	var e Encoder
 	e.U32(1 << 28) // claims 256Mi elements with no bytes behind it
-	d := NewDecoder(e.buf.Bytes())
+	d := NewDecoder(e.buf)
 	if v := d.U64s(); v != nil {
 		t.Errorf("implausible slice decoded: len %d", len(v))
 	}
